@@ -33,7 +33,8 @@ bench-smoke:
 
 # disk artifact cache end-to-end: a second process must hit the plan/run
 # tiers the first one wrote, a different template must reuse the shared
-# workload analysis, and corrupted entries must degrade to misses
+# workload analysis, a package copy with one cost-model line edited must
+# hit no tier of the warm dir, and corrupted entries must degrade to misses
 cache-smoke:
 	$(PYTHON) tools/cache_smoke.py
 

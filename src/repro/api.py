@@ -14,14 +14,12 @@ executing anything beyond what selection itself needs.  ``repro.serve``
 brings up the long-lived serving runtime (:mod:`repro.service`).
 
 Both run functions accept a template *instance* in place of a name, for
-custom templates that never entered the registry.  The legacy
-template-first argument order (``run("dbuf-shared", workload)``) still
-works with a :class:`DeprecationWarning`.
+custom templates that never entered the registry.  The workload always
+comes first: anything else there fails with a :class:`WorkloadError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 
 from repro.core.base import TemplateRun
@@ -44,37 +42,15 @@ def _kind_of(workload) -> str:
         return "tree"
     raise WorkloadError(
         "workload must be a NestedLoopWorkload or RecursiveTreeWorkload, "
-        f"got {type(workload).__name__}"
+        f"got {type(workload).__name__} (the workload comes first: "
+        "run(workload, template))"
     )
-
-
-def _is_workload(obj) -> bool:
-    return isinstance(obj, (NestedLoopWorkload, RecursiveTreeWorkload))
 
 
 def _resolve_engine(engine: str | None) -> str | None:
     """Validate the engine choice (one shared check; see
     :func:`repro.gpusim.executor.resolve_engine`)."""
     return resolve_engine(engine)
-
-
-def _accept_legacy_order(first, second, caller: str):
-    """Support the pre-IR ``caller(template, workload)`` argument order.
-
-    The modern order is workload first.  A workload in the first position
-    passes straight through; a workload in the *second* position is the
-    legacy order — swapped back with a :class:`DeprecationWarning`.
-    """
-    if _is_workload(first) or not _is_workload(second):
-        return first, second
-    warnings.warn(
-        f"repro.{caller}() now takes the workload first: "
-        f"{caller}(workload, template). The template-first order is "
-        "deprecated.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return second, first
 
 
 def _coerce_backend_arg(backend, device, devices, engine):
@@ -163,7 +139,6 @@ def run(
         its capability reasons (``run.selection`` / ``repro.explain``);
         queue-incompatible templates fall back to BSP execution.
     """
-    workload, template = _accept_legacy_order(workload, template, "run")
     kind = _kind_of(workload)
     engine = _resolve_engine(engine)
     if devices < 1:
@@ -212,7 +187,7 @@ def compare(
     without restating the list: ``compare(wl, ["thread-mapped"],
     include="auto")`` runs the named template plus the auto pick.
     """
-    workload, templates = _accept_legacy_order(workload, templates, "compare")
+    _kind_of(workload)
     if templates is None:
         templates = ("auto",)
     elif isinstance(templates, str) or not isinstance(templates, Iterable):

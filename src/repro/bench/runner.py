@@ -57,12 +57,9 @@ def _run_unit(exp_id: str, variant, config: ExperimentConfig,
     it, and a path enables it.
     """
     from repro import obs
-    from repro.core.artifactcache import (
-        configure_artifact_cache,
-        get_artifact_cache,
-    )
+    from repro.core.artifactcache import configure_artifact_cache
     from repro.backends import set_default_backend, set_default_devices
-    from repro.core.plancache import default_cache, set_plan_cache_enabled
+    from repro.core.plancache import cache_stats, set_plan_cache_enabled
     from repro.gpusim.executor import set_default_engine
 
     set_default_engine(engine)
@@ -71,11 +68,8 @@ def _run_unit(exp_id: str, variant, config: ExperimentConfig,
     set_plan_cache_enabled(plan_cache)
     if cache_dir is not None:
         configure_artifact_cache(cache_dir or None)
-    disk = get_artifact_cache()
-    disk0 = disk.snapshot() if disk is not None else None
+    before = cache_stats()
     exp = get_experiment(exp_id)
-    stats = default_cache().stats
-    hits0, misses0 = stats.hits, stats.misses
     spans = None
     if trace:
         obs.set_enabled(True)  # idempotent; also arms fresh pool workers
@@ -90,15 +84,17 @@ def _run_unit(exp_id: str, variant, config: ExperimentConfig,
     elapsed = time.perf_counter() - start
     if trace:
         spans = obs.export_events(since=watermark)
-    disk_stats = None
-    if disk is not None:
-        disk_stats = disk.snapshot()
+    after = cache_stats()
+    disk_stats, disk0 = after["disk"], before["disk"]
+    if disk_stats is not None and disk0 is not None:
         for name, tier in disk_stats["tiers"].items():
             for k in tier:
                 tier[k] -= disk0["tiers"][name][k]
         for k in ("hits", "misses", "writes", "corrupt"):
             disk_stats[k] -= disk0[k]
-    return (payload, elapsed, (stats.hits - hits0, stats.misses - misses0),
+    plan, plan0 = after["plan"], before["plan"]
+    return (payload, elapsed,
+            (plan["hits"] - plan0["hits"], plan["misses"] - plan0["misses"]),
             spans, disk_stats)
 
 

@@ -10,9 +10,9 @@ keyed on the workload fingerprint alone, so a parameter sweep over N
 points computes them once and the cheap ``specialize`` stage assembles the
 remaining launch graph N times.
 
-Artifacts are cached twice: in a process-wide in-memory map, and (when a
-cache directory is configured) in the ``analysis`` tier of the disk-backed
-:mod:`~repro.core.artifactcache`, where bench ``--jobs`` workers and
+Artifacts are cached in the ``analysis`` tier of
+:mod:`~repro.core.plancache` and (when a cache directory is configured)
+in the disk tier of the same name, where bench ``--jobs`` workers and
 service pool processes share them.
 """
 
@@ -23,6 +23,7 @@ import numpy as np
 from repro import obs
 from repro.core.artifactcache import get_artifact_cache
 from repro.core.mutation import TRACE_SEGMENT_BYTES, splice
+from repro.core.plancache import get_or_build, tier
 from repro.errors import WorkloadError
 
 __all__ = [
@@ -46,10 +47,6 @@ REBUILD_FRACTION = 0.25
 
 #: delta-chain hops walked before giving up on lineage resolution
 _MAX_CHAIN = 32
-
-#: chains at least this long re-anchor the resolved analysis into the
-#: disk ``analysis`` tier (chain compaction: future walks stay short)
-_COMPACT_AFTER = 4
 
 #: shared empty index array for insert-only splice calls
 _NO_DELETES = np.empty(0, dtype=np.int64)
@@ -381,18 +378,8 @@ class TreeAnalysis:
         }
 
 
-#: in-memory analysis store: fingerprint -> analysis artifact
-_memory: dict[str, object] = {}
-_stats = {"hits": 0, "misses": 0, "disk_hits": 0,
-          "incremental_hits": 0, "delta_fallbacks": 0}
-#: keep the in-memory map bounded; analyses are a few arrays each
-_MAX_ENTRIES = 256
-
-
-def _memoize(fingerprint: str, analysis: object) -> None:
-    if len(_memory) >= _MAX_ENTRIES:
-        _memory.pop(next(iter(_memory)))
-    _memory[fingerprint] = analysis
+#: the analysis tier: ``(kind, fingerprint)`` -> analysis artifact
+_ANALYSIS = tier("analysis")
 
 
 def _resolve_incremental(workload, fingerprint: str, disk):
@@ -421,14 +408,14 @@ def _resolve_incremental(workload, fingerprint: str, disk):
             break
         chain.append(delta)
         current = delta.parent_fingerprint
-        ancestor = _memory.get(current)
+        ancestor = _ANALYSIS.get(("nested", current))
         if ancestor is None and disk is not None:
             ancestor = disk.get("analysis", ("nested", current))
         if ancestor is not None:
             break
     if ancestor is None or not isinstance(ancestor, WorkloadAnalysis):
         if chain:
-            _stats["delta_fallbacks"] += 1
+            _ANALYSIS.count("delta_fallbacks")
             if obs.enabled():
                 obs.add_counter("analysis.delta_fallbacks")
         return None
@@ -438,49 +425,37 @@ def _resolve_incremental(workload, fingerprint: str, disk):
         for delta in reversed(chain):
             analysis = analysis.apply_delta(delta)
             if analysis is None:
-                _stats["delta_fallbacks"] += 1
+                _ANALYSIS.count("delta_fallbacks")
                 if obs.enabled():
                     obs.add_counter("analysis.delta_fallbacks")
                 return None
-            _stats["incremental_hits"] += 1
+            _ANALYSIS.count("incremental_hits")
             if obs.enabled():
                 obs.add_counter("analysis.incremental_hits")
             # intermediate fingerprints are live snapshot versions in the
             # serving layer — memoize the whole replayed prefix
-            _memoize(delta.fingerprint, analysis)
-    if disk is not None and len(chain) >= _COMPACT_AFTER:
-        # chain compaction: re-anchor a full artifact so future walks
-        # (and other processes) stop after one hop
-        disk.put("analysis", ("nested", fingerprint), analysis)
+            _ANALYSIS.put(("nested", delta.fingerprint), analysis)
     return analysis
+
+
+def _build(workload, kind: str, fingerprint: str, factory) -> object:
+    """An analysis-tier miss: replay the lineage, else analyze afresh."""
+    if kind == "nested":
+        analysis = _resolve_incremental(workload, fingerprint,
+                                        get_artifact_cache())
+        if analysis is not None:
+            return analysis
+    with obs.span("analysis.build", kind=kind,
+                  workload=getattr(workload, "name", "?")):
+        return factory(workload)
 
 
 def _get(workload, kind: str, factory) -> object:
     fingerprint = workload.fingerprint()
-    cached = _memory.get(fingerprint)
-    if cached is not None:
-        _stats["hits"] += 1
-        if obs.enabled():
-            obs.add_counter("analysis_cache.hits")
-        return cached
-    _stats["misses"] += 1
-    if obs.enabled():
-        obs.add_counter("analysis_cache.misses")
-    disk = get_artifact_cache()
-    disk_key = (kind, fingerprint)
-    analysis = disk.get("analysis", disk_key) if disk is not None else None
-    if analysis is not None:
-        _stats["disk_hits"] += 1
-    if analysis is None and kind == "nested":
-        analysis = _resolve_incremental(workload, fingerprint, disk)
-    if analysis is None:
-        with obs.span("analysis.build", kind=kind,
-                      workload=getattr(workload, "name", "?")):
-            analysis = factory(workload)
-        if disk is not None:
-            disk.put("analysis", disk_key, analysis)
-    _memoize(fingerprint, analysis)
-    return analysis
+    return get_or_build(
+        _ANALYSIS, (kind, fingerprint),
+        lambda: _build(workload, kind, fingerprint, factory),
+    )
 
 
 def get_analysis(workload) -> WorkloadAnalysis:
@@ -494,13 +469,14 @@ def get_tree_analysis(workload) -> TreeAnalysis:
 
 
 def analysis_stats() -> dict[str, int]:
-    """Copy of the in-memory analysis-cache counters."""
-    return dict(_stats)
+    """The analysis tier's counters: probes, disk hits and lineage replays."""
+    stats = _ANALYSIS.stats
+    return {"hits": stats.hits, "misses": stats.misses,
+            **{event: stats.events.get(event, 0)
+               for event in ("disk_hits", "incremental_hits",
+                             "delta_fallbacks")}}
 
 
 def clear_analysis_cache(reset_stats: bool = False) -> None:
     """Drop cached analyses (optionally also the counters)."""
-    _memory.clear()
-    if reset_stats:
-        for k in _stats:
-            _stats[k] = 0
+    _ANALYSIS.clear(reset_stats)

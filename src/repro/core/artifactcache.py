@@ -13,7 +13,8 @@ three tiers:
 * ``run`` — :class:`~repro.gpusim.executor.ExecutionResult` objects keyed
   on ``(plan key, engine)``.  The simulator is deterministic, so a result
   is a pure function of its key; the run tier is bypassed whenever a
-  caller asks for timelines or tracing is on (those need a live run);
+  caller asks for a timeline (that needs a live run).  Traced runs use it
+  like untraced ones, so a run-tier hit emits no kernel events;
 * ``select`` — :class:`~repro.ir.select.Selection` records of the
   ``template="auto"`` lowering, keyed on ``(workload fingerprint, device
   fingerprint, pass-config key, params, engine)``;
@@ -24,12 +25,14 @@ three tiers:
   cached analysis and replay the deltas incrementally
   (:meth:`WorkloadAnalysis.apply_delta
   <repro.core.analysis.WorkloadAnalysis.apply_delta>`) instead of
-  rebuilding from scratch.  Chains are compacted: after a few delta hops
-  the resolved analysis is re-anchored into the ``analysis`` tier, which
-  bounds future walks (see ``analysis._COMPACT_AFTER``).
+  rebuilding from scratch.  The resolved analysis lands in the
+  ``analysis`` tier like any other, so later walks stop after one hop.
 
-Entries are pickles named by a blake2b digest of the key's ``repr`` plus a
-format version.  Writes are atomic (temp file + ``os.replace``) so
+Entries are pickles named by a blake2b digest of the format version, the
+code digest (:func:`code_digest`: every ``.py`` file of the ``repro``
+package), the tier and the key's ``repr`` — a change to any source file
+reads as a cold cache, never as another program's result.  Unpickling
+runs code, so the cache directory must be trusted.  Writes are atomic (temp file + ``os.replace``) so
 concurrent workers never observe a torn entry; reads are
 corruption-tolerant — any unreadable entry counts as a miss (and bumps the
 ``corrupt`` counter), never raises.  Keys must therefore be repr-stable
@@ -66,6 +69,7 @@ from repro.errors import ConfigError
 __all__ = [
     "ArtifactCache",
     "TIERS",
+    "code_digest",
     "configure_artifact_cache",
     "get_artifact_cache",
 ]
@@ -74,7 +78,7 @@ __all__ = [
 TIERS = ("analysis", "lineage", "select", "plan", "run")
 
 #: bump to invalidate every existing cache entry on a format change
-_FORMAT_VERSION = "v1"
+_FORMAT_VERSION = "v2"
 
 #: environment variable carrying the cache dir into pool workers
 ENV_VAR = "REPRO_CACHE_DIR"
@@ -89,6 +93,26 @@ DEFAULT_MAX_BYTES = 1 << 30  # 1 GiB
 #: puts between full directory rescans (concurrent writers drift the
 #: incrementally-tracked total; a periodic rescan re-anchors it)
 _RESCAN_EVERY = 64
+
+
+#: digest of the package source; computed on the first disk access
+_code_digest: str | None = None
+
+
+def code_digest() -> str:
+    """blake2b over every ``.py`` file of the ``repro`` package, in
+    relative-path order; computed once per process."""
+    global _code_digest
+    if _code_digest is None:
+        root = Path(__file__).resolve().parent.parent
+        h = hashlib.blake2b(digest_size=16)
+        for path in sorted(root.rglob("*.py"),
+                           key=lambda p: p.relative_to(root).as_posix()):
+            h.update(path.relative_to(root).as_posix().encode())
+            h.update(b"\0")
+            h.update(path.read_bytes())
+        _code_digest = h.hexdigest()
+    return _code_digest
 
 
 def _default_max_bytes() -> int:
@@ -126,7 +150,8 @@ class ArtifactCache:
         if tier not in TIERS:
             raise ConfigError(f"unknown cache tier {tier!r}; known: {TIERS}")
         digest = hashlib.blake2b(
-            f"{_FORMAT_VERSION}|{key!r}".encode(), digest_size=16
+            f"{_FORMAT_VERSION}|{code_digest()}|{tier}|{key!r}".encode(),
+            digest_size=16,
         ).hexdigest()
         return self.cache_dir / tier / f"{digest}.pkl"
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.analysis import analysis_stats, get_analysis
+from repro.core.analysis import get_analysis
 from repro.core.base import TemplateRun
 from repro.core.params import TemplateParams
+from repro.core.plancache import cache_stats
 from repro.core.registry import LOAD_BALANCING_TEMPLATES, resolve
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import PlanError
@@ -91,14 +92,14 @@ def autotune(
     count and the analysis-cache hit/miss counters accumulated while the
     sweep specialized every candidate against one shared analysis.
     """
-    before = analysis_stats()
+    before = cache_stats()["analysis"]
     runs = sweep(workload, config, templates, thresholds, base_params)
     winner = best_run(runs)
-    after = analysis_stats()
+    after = cache_stats()["analysis"]
     winner.tuning_report = {
         "candidates": len(runs),
         "analysis_cache": {
-            k: after[k] - before[k] for k in after
+            k: after[k] - before[k] for k in ("hits", "misses")
         },
     }
     return winner

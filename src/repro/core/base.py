@@ -12,7 +12,7 @@ from repro.backends import coerce_backend, effective_backend, run_sharded
 from repro.core.analysis import WorkloadAnalysis, get_analysis
 from repro.core.artifactcache import get_artifact_cache
 from repro.core.params import TemplateParams
-from repro.core.plancache import default_cache
+from repro.core.plancache import get_or_build, tier
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import PlanError
 from repro.gpusim.config import DeviceConfig
@@ -24,6 +24,9 @@ __all__ = [
     "TemplateRun", "NestedLoopTemplate", "check_schedule", "plan_key",
     "run_many",
 ]
+
+#: the plan tier
+_PLAN = tier("plan")
 
 
 def plan_key(
@@ -107,7 +110,7 @@ class _PreparedRun:
     plan-cache / disk-cache / run-tier logic.
     """
 
-    template: "NestedLoopTemplate"
+    template: "_CachedTemplate"
     workload: NestedLoopWorkload
     config: DeviceConfig
     params: TemplateParams
@@ -141,8 +144,14 @@ class _PreparedRun:
         )
 
 
-class NestedLoopTemplate(ABC):
-    """A parallelization template for irregular nested loops (Fig. 1)."""
+class _CachedTemplate:
+    """``run()`` and the caching ladder shared by every template family.
+
+    Subclasses supply ``build()``; a plan is whatever it returns, stored
+    in the ``plan`` tier of :mod:`~repro.core.plancache` (and its disk
+    tier).  ``_check`` validates a fresh plan, ``_unpack`` turns a plan
+    into ``(graph, schedule)``.
+    """
 
     #: template identifier (paper name)
     name: str = "abstract"
@@ -155,6 +164,109 @@ class NestedLoopTemplate(ABC):
     #: :class:`TemplateParams` fields this template's build() reads; the
     #: plan cache keys only on these (None = key on every field)
     PLAN_RELEVANT_PARAMS: tuple[str, ...] | None = None
+
+    def _check(self, plan, workload) -> None:
+        """Validate a freshly built plan (no-op by default)."""
+
+    def _unpack(self, plan, workload) -> tuple[LaunchGraph, dict[str, np.ndarray]]:
+        """``(graph, schedule)`` of a plan."""
+        return plan
+
+    def _plan(self, workload, config: DeviceConfig, params: TemplateParams):
+        """A plan-tier miss: build and validate one plan."""
+        with obs.span("plan.build", template=self.name,
+                      workload=workload.name):
+            plan = self.build(workload, config, params)
+            self._check(plan, workload)
+        return plan
+
+    def run(
+        self,
+        workload,
+        config: DeviceConfig,
+        params: TemplateParams | None = None,
+        executor=None,
+        *,
+        backend=None,
+    ) -> TemplateRun:
+        """Build, validate, execute and profile in one call.
+
+        Execution goes through a :class:`~repro.backends.Backend` —
+        resolved from ``backend``, a legacy ``executor`` (wrapped
+        unchanged), or the process's default device topology.  A
+        multi-device backend shards the workload and merges the
+        per-device runs (see :func:`repro.backends.run_sharded`).
+
+        Plans are served from the plan tier when an identical (workload,
+        template, plan-relevant params, device) build was done before,
+        falling back to the disk artifact cache (shared across
+        bench/service worker processes) when one is configured; cached
+        graphs are shared, so treat them as read-only.  Execution results
+        are themselves cached in the disk ``run`` tier — the simulator is
+        deterministic — except when a timeline is requested, which needs
+        a live run.
+        """
+        params = params or TemplateParams()
+        backend = effective_backend(
+            coerce_backend(backend, executor, config), self
+        )
+        if backend.n_devices > 1:
+            merged = run_sharded(self, workload, backend, config, params)
+            if merged is not None:
+                return merged
+            backend = backend.members[0]
+        prep = self._prepare(workload, config, params, backend)
+        if prep.result is None:
+            prep.record(backend.submit(prep.graph))
+        return prep.finish()
+
+    def _prepare(
+        self,
+        workload,
+        config: DeviceConfig,
+        params: TemplateParams,
+        backend,
+    ) -> _PreparedRun:
+        """Resolve the plan and probe the run tier; execution stays pending.
+
+        The plan goes through :func:`~repro.core.plancache.get_or_build`;
+        then the disk run tier is probed (skipped when a timeline is
+        requested, which needs a live run).  The returned
+        :class:`_PreparedRun` carries ``result`` when the run tier hit;
+        callers execute the graph themselves otherwise — one at a time
+        (:meth:`run`) or fused (:func:`run_many`).
+        """
+        key = plan_key(self, workload.fingerprint(), config, params)
+        graph, schedule = self._unpack(
+            get_or_build(_PLAN, key,
+                         lambda: self._plan(workload, config, params)),
+            workload,
+        )
+        disk = get_artifact_cache()
+        run_key = None
+        result = None
+        if disk is not None and not backend.record_timeline:
+            run_key = (key, backend.engine or get_default_engine())
+            # non-BSP execution models tag their run entries; sim
+            # backends add nothing
+            tag = backend.run_cache_tag
+            if tag is not None:
+                run_key = run_key + (tag,)
+            result = disk.get("run", run_key)
+        return _PreparedRun(
+            template=self,
+            workload=workload,
+            config=config,
+            params=params,
+            graph=graph,
+            schedule=schedule,
+            run_key=run_key,
+            result=result,
+        )
+
+
+class NestedLoopTemplate(_CachedTemplate, ABC):
+    """A parallelization template for irregular nested loops (Fig. 1)."""
 
     def build(
         self,
@@ -188,110 +300,8 @@ class NestedLoopTemplate(ABC):
         parameter points and (via the disk cache) processes.
         """
 
-    def run(
-        self,
-        workload: NestedLoopWorkload,
-        config: DeviceConfig,
-        params: TemplateParams | None = None,
-        executor=None,
-        *,
-        backend=None,
-    ) -> TemplateRun:
-        """Build, validate, execute and profile in one call.
-
-        Execution goes through a :class:`~repro.backends.Backend` —
-        resolved from ``backend``, a legacy ``executor`` (wrapped
-        unchanged), or the process's default device topology.  A
-        multi-device backend shards the workload and merges the
-        per-device runs (see :func:`repro.backends.run_sharded`).
-
-        Plans are served from the process-wide plan cache when an identical
-        (workload, template, plan-relevant params, device) build was done
-        before, falling back to the disk artifact cache (shared across
-        bench/service worker processes) when one is configured; cached
-        graphs are shared, so treat them as read-only.  Execution results
-        are themselves cached in the disk ``run`` tier — the simulator is
-        deterministic — except when a timeline or tracing is requested,
-        which needs a live run.
-        """
-        params = params or TemplateParams()
-        backend = effective_backend(
-            coerce_backend(backend, executor, config), self
-        )
-        if backend.n_devices > 1:
-            merged = run_sharded(self, workload, backend, config, params)
-            if merged is not None:
-                return merged
-            backend = backend.members[0]
-        prep = self._prepare(workload, config, params, backend)
-        if prep.result is None:
-            prep.record(backend.submit(prep.graph))
-        return prep.finish()
-
-    def _prepare(
-        self,
-        workload: NestedLoopWorkload,
-        config: DeviceConfig,
-        params: TemplateParams,
-        backend,
-    ) -> _PreparedRun:
-        """Resolve the plan and probe the run tier; execution stays pending.
-
-        Single source of the caching ladder: process plan cache → disk
-        plan tier → live build, then a disk run-tier probe (skipped when a
-        timeline or tracing is requested, which needs a live run).  The
-        returned :class:`_PreparedRun` carries ``result`` when the run
-        tier hit; callers execute the graph themselves otherwise — one at
-        a time (:meth:`run`) or fused (:func:`run_many`).
-        """
-        cache = default_cache()
-        key = plan_key(self, workload.fingerprint(), config, params)
-        disk = get_artifact_cache()
-        cached = cache.get(key)
-        if cached is not None:
-            graph, schedule = cached
-            if obs.enabled():
-                obs.instant("plan.cache_hit", template=self.name,
-                            workload=workload.name)
-                obs.add_counter("plan_cache.hits")
-        else:
-            plan = disk.get("plan", key) if disk is not None else None
-            if plan is None:
-                with obs.span("plan.build", template=self.name,
-                              workload=workload.name):
-                    graph, schedule = self.build(workload, config, params)
-                    check_schedule(schedule, workload.outer_size)
-                if disk is not None:
-                    disk.put("plan", key, (graph, schedule))
-            else:
-                graph, schedule = plan
-            cache.put(key, (graph, schedule))
-            obs.add_counter("plan_cache.misses")
-        use_run_tier = (
-            disk is not None
-            and not backend.record_timeline
-            and not obs.enabled()
-        )
-        run_key = None
-        result = None
-        if use_run_tier:
-            run_key = (key, backend.engine or get_default_engine())
-            # non-BSP execution models tag their run entries; the classic
-            # (untagged) key stays byte-identical for sim backends
-            tag = backend.run_cache_tag
-            if tag is not None:
-                run_key = run_key + (tag,)
-            result = disk.get("run", run_key)
-        return _PreparedRun(
-            template=self,
-            workload=workload,
-            config=config,
-            params=params,
-            graph=graph,
-            schedule=schedule,
-            run_key=run_key,
-            result=result,
-        )
+    def _check(self, plan, workload) -> None:
+        check_schedule(plan[1], workload.outer_size)
 
     # convenience used by all subclasses
     @staticmethod

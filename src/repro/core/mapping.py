@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.errors import PlanError
+from repro.core.plancache import get_or_build, tier
 from repro.core.workload import NestedLoopWorkload
 from repro.gpusim.atomics import AtomicStats, flat_atomic_cycles
 from repro.gpusim.coalesce import (
@@ -39,7 +39,6 @@ __all__ = [
     "add_thread_mapped_inner",
     "add_block_mapped_inner",
     "add_partitioned_pairs",
-    "phase_memo_stats",
     "clear_phase_memo",
 ]
 
@@ -59,11 +58,10 @@ __all__ = [
 # in one worker and a miss in another), so the private-builder pass is the
 # canonical path for hits *and* misses: each target array receives exactly
 # one aggregated add either way, and every counter delta is an integer or
-# a max, which merge associatively.
+# a max, which merge associatively.  The memo is the ``phase`` tier of
+# :mod:`~repro.core.plancache`.
 
-_PHASE_MEMO: dict = {}
-_PHASE_MEMO_MAX = 256
-_phase_memo_stats = {"hits": 0, "misses": 0}
+_PHASE = tier("phase")
 
 
 @dataclass
@@ -83,12 +81,8 @@ class _PhaseEffect:
     atomic_stats: AtomicStats | None
 
 
-def _phase_key(tag, builder, workload, analysis, arrays, flags) -> tuple | None:
-    """Content key of one mapping move; None when the workload has no
-    memoized fingerprint path (never the case for repo workloads)."""
-    fingerprint = getattr(workload, "fingerprint", None)
-    if fingerprint is None:
-        return None
+def _phase_key(tag, builder, workload, analysis, arrays, flags) -> tuple:
+    """Content key of one mapping move."""
     h = hashlib.blake2b(digest_size=16)
     for arr in arrays:
         if arr is None:
@@ -98,7 +92,7 @@ def _phase_key(tag, builder, workload, analysis, arrays, flags) -> tuple | None:
         h.update(b"|")
     return (
         tag,
-        fingerprint(),
+        workload.fingerprint(),
         builder.config.fingerprint(),
         builder.block_size,
         builder.n_blocks,
@@ -107,51 +101,47 @@ def _phase_key(tag, builder, workload, analysis, arrays, flags) -> tuple | None:
     )
 
 
+def _phase_effect(builder: KernelCostBuilder, body) -> _PhaseEffect:
+    """Cost one mapping move into a private twin of ``builder``; return
+    its effect."""
+    private = KernelCostBuilder(
+        builder.config, "phase", builder.block_size, builder.n_blocks
+    )
+    body(private)
+    counters = private.counters
+    stats = counters.atomic
+    effect = _PhaseEffect(
+        compute=private._arrays.compute_slots,
+        mem=private._arrays.mem_transactions,
+        atomic=private._arrays.atomic_cycles,
+        issued=counters.warp.issued_steps,
+        active=counters.warp.active_slots,
+        load_bytes=counters.load_traffic.requested_bytes,
+        load_tx=counters.load_traffic.transactions,
+        store_bytes=counters.store_traffic.requested_bytes,
+        store_tx=counters.store_traffic.transactions,
+        shared=counters.shared_accesses,
+        atomic_stats=(
+            AtomicStats(
+                stats.n_atomics,
+                stats.max_address_multiplicity,
+                stats.hot_serialization_cycles,
+            )
+            if stats.n_atomics
+            or stats.max_address_multiplicity
+            or stats.hot_serialization_cycles
+            else None
+        ),
+    )
+    for arr in (effect.compute, effect.mem, effect.atomic):
+        arr.setflags(write=False)
+    return effect
+
+
 def _run_phase(builder: KernelCostBuilder, key, body) -> None:
     """Cost one phase through the memo: ``body(b)`` runs the mapping move
     against a builder ``b``; its effect lands on ``builder``."""
-    effect = _PHASE_MEMO.get(key) if key is not None else None
-    if effect is None:
-        _phase_memo_stats["misses"] += 1
-        private = KernelCostBuilder(
-            builder.config, "phase", builder.block_size, builder.n_blocks
-        )
-        body(private)
-        counters = private.counters
-        stats = counters.atomic
-        effect = _PhaseEffect(
-            compute=private._arrays.compute_slots,
-            mem=private._arrays.mem_transactions,
-            atomic=private._arrays.atomic_cycles,
-            issued=counters.warp.issued_steps,
-            active=counters.warp.active_slots,
-            load_bytes=counters.load_traffic.requested_bytes,
-            load_tx=counters.load_traffic.transactions,
-            store_bytes=counters.store_traffic.requested_bytes,
-            store_tx=counters.store_traffic.transactions,
-            shared=counters.shared_accesses,
-            atomic_stats=(
-                AtomicStats(
-                    stats.n_atomics,
-                    stats.max_address_multiplicity,
-                    stats.hot_serialization_cycles,
-                )
-                if stats.n_atomics
-                or stats.max_address_multiplicity
-                or stats.hot_serialization_cycles
-                else None
-            ),
-        )
-        for arr in (effect.compute, effect.mem, effect.atomic):
-            arr.setflags(write=False)
-        if key is not None:
-            if len(_PHASE_MEMO) >= _PHASE_MEMO_MAX:
-                _PHASE_MEMO.pop(next(iter(_PHASE_MEMO)))
-            _PHASE_MEMO[key] = effect
-    else:
-        _phase_memo_stats["hits"] += 1
-        if obs.enabled():
-            obs.add_counter("plan.phase_memo_hits")
+    effect = get_or_build(_PHASE, key, lambda: _phase_effect(builder, body))
     arrays = builder._arrays
     arrays.compute_slots += effect.compute
     arrays.mem_transactions += effect.mem
@@ -174,17 +164,9 @@ def _run_phase(builder: KernelCostBuilder, key, body) -> None:
         counters.atomic.merge(effect.atomic_stats)
 
 
-def phase_memo_stats() -> dict[str, int]:
-    """Copy of the phase-memo hit/miss counters."""
-    return dict(_phase_memo_stats)
-
-
 def clear_phase_memo(reset_stats: bool = False) -> None:
     """Drop memoized phase effects (optionally also the counters)."""
-    _PHASE_MEMO.clear()
-    if reset_stats:
-        for k in _phase_memo_stats:
-            _phase_memo_stats[k] = 0
+    _PHASE.clear(reset_stats)
 
 
 def _apply_streams(

@@ -22,9 +22,9 @@ cache key downstream automatically incorporates the shard layout: a
 4-device run can never collide with a 1-device run (or a 2-device one) in
 the plan cache or on disk, and single-device keys are untouched.
 
-Shard plans are memoized per ``(workload fingerprint, n_shards)``: the
-subset arrays are built once per sweep, like the analysis artifacts they
-derive from.
+Shard plans are memoized per ``(workload fingerprint, n_shards)`` in the
+``shard`` tier of :mod:`~repro.core.plancache`: the subset arrays are
+built once per sweep, like the analysis artifacts they derive from.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.analysis import get_analysis
+from repro.core.plancache import get_or_build, tier
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import PlanError
 
@@ -205,8 +206,8 @@ def _shard_tree(workload, n: int) -> list[Shard] | None:
 
 # ------------------------------------------------------------------ dispatch
 
-_plans: dict[tuple[str, int], list[Shard] | None] = {}
-_MAX_PLANS = 64
+#: the shard tier: ``(fingerprint, n)`` -> shard plan, None = unshardable
+_SHARD = tier("shard")
 
 
 def shard_workload(workload, n: int) -> list[Shard] | None:
@@ -214,7 +215,7 @@ def shard_workload(workload, n: int) -> list[Shard] | None:
 
     Returns ``None`` when the workload cannot usefully shard (fewer than
     two non-empty shards) — callers fall back to single-device execution.
-    Plans are memoized by ``(fingerprint, n)``.
+    Plans (``None`` included) are memoized by ``(fingerprint, n)``.
 
     ``n`` need not equal the device count: the work-stealing path of
     :func:`~repro.backends.group.run_sharded` *over-shards* into
@@ -225,23 +226,18 @@ def shard_workload(workload, n: int) -> list[Shard] | None:
     """
     if n < 2:
         return None
-    key = (workload.fingerprint(), n)
-    if key in _plans:
-        return _plans[key]
     if isinstance(workload, NestedLoopWorkload):
-        plan = _shard_loop(workload, n)
+        shard = _shard_loop
     elif hasattr(workload, "tree"):
-        plan = _shard_tree(workload, n)
+        shard = _shard_tree
     else:
         raise PlanError(
             f"cannot shard workload of type {type(workload).__name__}"
         )
-    if len(_plans) >= _MAX_PLANS:
-        _plans.pop(next(iter(_plans)))
-    _plans[key] = plan
-    return plan
+    return get_or_build(_SHARD, (workload.fingerprint(), n),
+                        lambda: shard(workload, n))
 
 
 def clear_shard_cache() -> None:
     """Drop memoized shard plans (tests and long-lived services)."""
-    _plans.clear()
+    _SHARD.clear()

@@ -26,8 +26,8 @@ winner, whose parameter point becomes the derived
 ordinary plan/run caches, so a race against N candidates costs N cached
 template runs, not N rebuilds.
 
-Selections are cached twice — a bounded in-memory map and the ``select``
-tier of the disk artifact cache — under a repr-stable key
+Selections are cached in the ``select`` tier of
+:mod:`~repro.core.plancache` and its disk tier under a repr-stable key
 ``(workload fingerprint, device fingerprint, pass-config key, params,
 engine)``, so the decision is stable across processes and sessions
 (fingerprint-stability is what lets ``template="auto"`` share the plan
@@ -40,9 +40,9 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 from repro import obs
 from repro.core.analysis import get_analysis
-from repro.core.artifactcache import get_artifact_cache
 from repro.core.autotune import best_run
 from repro.core.params import TemplateParams
+from repro.core.plancache import get_or_build, tier
 from repro.core.registry import canonical_name, resolve
 from repro.errors import IRError
 from repro.gpusim.config import KEPLER_K20, supports_dynamic_parallelism
@@ -62,9 +62,8 @@ __all__ = ["Selection", "auto_select", "is_auto", "clear_selection_cache"]
 #: spelling of the automatic template choice accepted by the facade
 AUTO = "auto"
 
-#: in-memory selection store (bounded; disk tier backs it cross-process)
-_memory: dict[tuple, "Selection"] = {}
-_MAX_ENTRIES = 256
+#: the select tier (its disk tier backs it cross-process)
+_SELECT = tier("select")
 
 
 def is_auto(template) -> bool:
@@ -244,30 +243,20 @@ def auto_select(
         engine or get_default_engine(),
     )
     if backend != "sim":
-        # appended only for non-default backends: PR-6-era sim keys (and
-        # their disk entries) stay byte-identical
+        # only non-default backends extend the key
         key = key + (("backend", backend),)
-    cached = _memory.get(key)
-    if cached is not None:
-        if obs.enabled():
-            obs.instant("ir.select.cache_hit",
-                        workload=getattr(workload, "name", "?"))
-            obs.add_counter("ir.select_cache.hits")
-        return cached
-    disk = get_artifact_cache()
-    selection = disk.get("select", key) if disk is not None else None
-    if selection is None:
-        obs.add_counter("ir.select_cache.misses")
-        with obs.span("ir.select", kind=kind,
-                      workload=getattr(workload, "name", "?")):
-            selection = _select(workload, kind, device, params, engine, cfg,
-                                backend)
-        if disk is not None:
-            disk.put("select", key, selection)
-    if len(_memory) >= _MAX_ENTRIES:
-        _memory.pop(next(iter(_memory)))
-    _memory[key] = selection
-    return selection
+    return get_or_build(
+        _SELECT, key,
+        lambda: _select_traced(workload, kind, device, params, engine, cfg,
+                               backend),
+    )
+
+
+def _select_traced(workload, kind, device, params, engine, cfg, backend):
+    """A select-tier miss: run the lowering under its trace span."""
+    with obs.span("ir.select", kind=kind,
+                  workload=getattr(workload, "name", "?")):
+        return _select(workload, kind, device, params, engine, cfg, backend)
 
 
 def _queue_filter(candidates: list[str], kind: str) -> tuple[list[str], list[str]]:
@@ -344,4 +333,4 @@ def _select(workload, kind, device, params, engine, cfg,
 
 def clear_selection_cache() -> None:
     """Drop the in-memory selection store (tests and benchmarks)."""
-    _memory.clear()
+    _SELECT.clear()

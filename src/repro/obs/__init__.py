@@ -29,13 +29,14 @@ Instrumented span names (the stable catalogue):
 
 ====================  ====================================================
 ``plan.build``        template ``build()`` + schedule validation (cache miss)
-``plan.cache_hit``    instant: plan served from the plan cache
+``plan.cache_hit``    instant: plan served from the plan cache (likewise
+                      ``analysis.cache_hit`` / ``select.cache_hit``)
 ``analysis.build``    one workload-analysis computation (analysis-cache miss)
 ``ir.build``          parallelization-IR construction from a workload
 ``ir.pass.promote``   threshold-promotion pass over the IR
 ``ir.pass.consolidate``  launch-consolidation pass over the IR
 ``ir.select``         auto-select lowering (includes candidate race runs;
-                      ``ir.select.cache_hit`` instant on a cached decision)
+                      ``select.cache_hit`` instant on a cached decision)
 ``gpusim.execute``    one executor pass over a launch graph
 ``gpusim.profile``    metric extraction from an executed graph
 ``service.coalesce``  micro-batcher grouping one collection window
@@ -54,10 +55,10 @@ Instrumented span names (the stable catalogue):
 Per-kernel simulated-device events (named after their launches) land on
 a separate ``simulated-device`` track with simulated-clock timestamps.
 
-Counters (also in ``summary()["counters"]``): ``plan_cache.hits`` /
-``plan_cache.misses``, ``analysis_cache.hits`` / ``analysis_cache.misses``,
+Counters (also in ``summary()["counters"]``): ``<tier>_cache.hits`` /
+``<tier>_cache.misses`` for each in-process cache tier (``plan``,
+``analysis``, ``select``, ``phase``, ``shard``),
 ``ir.decisions.<pass>`` (rewrite decisions per IR pass),
-``ir.select_cache.hits`` / ``ir.select_cache.misses`` and
 ``ir.select.race_candidates`` (auto-select audit trail), and — when a
 disk cache directory is configured —
 ``artifact_cache.<tier>.{hits,misses,writes,corrupt,evictions}`` for each

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.core.params import TemplateParams
+from repro.core.plancache import cache_stats
 from repro.errors import ServiceError
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import resolve_engine
@@ -1075,13 +1076,9 @@ class TemplateService:
         """Service + pool counters in one dict (``stats()`` on handles)."""
         snap = self.stats.snapshot()
         snap["pool"] = self.pool.snapshot()
-        from repro.core.artifactcache import get_artifact_cache
-
-        disk = get_artifact_cache()
-        if disk is not None:
-            # inline-route counters of this process; pool workers keep
-            # their own (summed per batch into execute_batch summaries)
-            snap["disk_cache"] = disk.snapshot()
+        # every cache tier of this process (inline route); pool workers
+        # keep their own, summed per batch into the plan_cache counters
+        snap["caches"] = cache_stats()
         if obs.enabled():
             # aggregated per-span-name timings of the traced region; the
             # tracer is process-wide, so concurrent traced work outside

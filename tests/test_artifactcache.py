@@ -1,8 +1,12 @@
 """Disk artifact cache: round trips, atomic writes, corruption tolerance,
-repr-stable keying and the process-wide configure/get plumbing."""
+repr-stable keying, code identity in the key and the process-wide
+configure/get plumbing."""
 
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +226,55 @@ class TestConfigure:
 
     def test_unconfigured_without_env_is_disabled(self):
         assert get_artifact_cache() is None
+
+
+#: writes one entry per tier into argv[1]; prints the child's code digest
+_WRITER = r"""
+import sys
+from repro.core.artifactcache import TIERS, ArtifactCache, code_digest
+cache = ArtifactCache(sys.argv[1])
+for tier in TIERS:
+    cache.put(tier, ("shared-key", tier), {"tier": tier})
+print(code_digest())
+"""
+
+
+class TestCodeIdentity:
+    """Disk keys carry a digest of the package source."""
+
+    def _fill(self, cache):
+        for tier in TIERS:
+            cache.put(tier, ("shared-key", tier), {"tier": tier})
+
+    def test_changed_digest_misses_every_tier(self, tmp_path, monkeypatch):
+        self._fill(ArtifactCache(tmp_path))
+        monkeypatch.setattr(artifactcache, "_code_digest", "edited-code")
+        cache = ArtifactCache(tmp_path)
+        for tier in TIERS:
+            assert cache.get(tier, ("shared-key", tier)) is None
+        assert cache.snapshot()["hits"] == 0
+        assert cache.snapshot()["misses"] == len(TIERS)
+
+    def test_same_digest_hits_across_processes(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(artifactcache.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = src
+        proc = subprocess.run(
+            [sys.executable, "-c", _WRITER, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.strip() == artifactcache.code_digest()
+        cache = ArtifactCache(tmp_path)
+        for tier in TIERS:
+            assert cache.get(tier, ("shared-key", tier)) == {"tier": tier}
+        assert cache.snapshot()["hits"] == len(TIERS)
+
+    def test_digest_computed_lazily_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(artifactcache, "_code_digest", None)
+        cache = ArtifactCache(tmp_path)
+        assert artifactcache._code_digest is None  # no disk access yet
+        cache.get("plan", "k")
+        digest = artifactcache._code_digest
+        assert digest is not None
+        cache.put("plan", "k", 1)
+        assert artifactcache._code_digest is digest

@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro.core import RecursiveTreeWorkload, TemplateParams
 from repro.core.analysis import clear_analysis_cache, get_analysis
+from repro.core.plancache import clear_caches
 from repro.core.registry import ALL_TEMPLATES, canonical_name
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import IRError, WorkloadError
@@ -120,8 +121,7 @@ class TestReprStability:
 
     def test_selection_fingerprint_stable(self, loop_workload):
         first = auto_select(loop_workload).fingerprint
-        clear_selection_cache()
-        clear_analysis_cache()
+        clear_caches()
         second = auto_select(loop_workload).fingerprint
         assert first == second
 

@@ -1,10 +1,8 @@
 """Contract for the retired and transitional legacy entry points.
 
-``get_template`` and the ``exact=`` kwarg are **gone** — these tests pin
-the removal (importing or passing them fails loudly, not silently).  The
-one remaining transitional surface is the argument order of the facade:
-``repro.run(name, workload)`` still works but warns, and forwards exactly
-to the modern workload-first call.
+``get_template``, the ``exact=`` kwarg and the template-first argument
+order of the facade are **gone** — these tests pin the removal (importing
+or passing them fails loudly, not silently).
 """
 
 import warnings
@@ -14,6 +12,7 @@ import pytest
 
 import repro
 from repro.core.workload import NestedLoopWorkload
+from repro.errors import WorkloadError
 
 
 @pytest.fixture()
@@ -51,24 +50,20 @@ class TestExactKwargRemoved:
 
 
 class TestLegacyArgumentOrder:
-    def test_run_warns_and_forwards(self, workload):
-        with pytest.warns(DeprecationWarning, match="workload first"):
-            legacy = repro.run("dbuf-global", workload)
-        modern = repro.run(workload, "dbuf-global")
-        assert legacy.time_ms == modern.time_ms
-        assert legacy.metrics.as_dict() == modern.metrics.as_dict()
+    """The template-first order is retired: it fails at the front door
+    with a structured error instead of being swapped back."""
 
-    def test_compare_warns_and_forwards(self, workload):
-        with pytest.warns(DeprecationWarning, match="workload first"):
-            legacy = repro.compare(["dual-queue"], workload)
-        modern = repro.compare(workload, ["dual-queue"])
-        assert legacy[0].time_ms == modern[0].time_ms
+    def test_run_template_first_rejected(self, workload):
+        with pytest.raises(WorkloadError, match="workload comes first"):
+            repro.run("dbuf-global", workload)
 
-    def test_warning_names_the_caller(self, workload):
-        with pytest.warns(DeprecationWarning, match=r"repro\.run\(\)"):
-            repro.run("dual-queue", workload)
-        with pytest.warns(DeprecationWarning, match=r"repro\.compare\(\)"):
-            repro.compare("dual-queue", workload)
+    def test_compare_template_first_rejected(self, workload):
+        with pytest.raises(WorkloadError, match="workload comes first"):
+            repro.compare(["dual-queue"], workload)
+
+    def test_shim_removed(self):
+        import repro.api
+        assert not hasattr(repro.api, "_accept_legacy_order")
 
     def test_modern_path_is_warning_free(self, workload):
         with warnings.catch_warnings():

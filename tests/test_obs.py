@@ -168,6 +168,37 @@ class TestInstrumentation:
         # the no-timeline contract survives tracing
         assert traced.result.records == []
 
+    def test_traced_run_uses_run_tier(self, tmp_path, monkeypatch):
+        """Tracing takes the same path as an untraced run: a warm disk
+        run tier is hit (no live execution, so no kernel events)."""
+        from repro.core import artifactcache
+        from repro.core.plancache import clear_caches
+
+        monkeypatch.setattr(artifactcache, "_cache", False)
+        monkeypatch.delenv(artifactcache.ENV_VAR, raising=False)
+        artifactcache.configure_artifact_cache(tmp_path)
+        try:
+            wl = make_workload(name="obs-run-tier")
+            untraced = repro.run(wl, "dbuf-shared")
+            clear_caches()
+            obs.set_enabled(True)
+            traced = repro.run(wl, "dbuf-shared")
+            s = obs.summary()
+        finally:
+            artifactcache.configure_artifact_cache(None)
+        assert s["counters"]["artifact_cache.run.hits"] == 1
+        assert "gpusim.execute" not in s["wall_ms"]
+        assert s["sim_events"] == 0
+        assert traced.template == untraced.template
+        assert traced.params == untraced.params
+        assert traced.time_ms == untraced.time_ms
+        assert traced.result.cycles == untraced.result.cycles
+        assert traced.result.counters == untraced.result.counters
+        assert traced.metrics == untraced.metrics
+        assert set(traced.schedule) == set(untraced.schedule)
+        for phase, ids in untraced.schedule.items():
+            np.testing.assert_array_equal(traced.schedule[phase], ids)
+
 
 class TestChromeExport:
     def test_valid_trace_with_required_names(self):

@@ -1,11 +1,24 @@
 """Plan-cache hardening: hit/cold equivalence, LRU eviction order,
-counter accuracy under eviction, and the exposed helpers."""
+counter accuracy under eviction, the exposed helpers, and the one store
+and ladder behind every cache tier."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.plancache import PlanCache, default_cache, fingerprint_of
+from repro.core.plancache import (
+    TIER_BOUNDS,
+    PlanCache,
+    cache_stats,
+    clear_caches,
+    default_cache,
+    fingerprint_of,
+    get_or_build,
+    tier,
+)
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ConfigError
@@ -127,3 +140,135 @@ class TestExposedHelpers:
         assert cache.get(("a",)) is None
         assert cache.snapshot()["enabled"] is False
         assert cache.snapshot()["size"] == 0
+
+
+@pytest.fixture()
+def memory_only(monkeypatch):
+    """Every tier empty, counters zeroed and the disk cache off."""
+    from repro.core import artifactcache
+
+    monkeypatch.setattr(artifactcache, "_cache", None)
+    clear_caches(reset_stats=True)
+    yield
+    clear_caches(reset_stats=True)
+
+
+@pytest.mark.parametrize("name", sorted(TIER_BOUNDS))
+class TestEveryTier:
+    """The one store and the one ladder, checked on every tier."""
+
+    def test_get_put(self, name, memory_only):
+        store = tier(name)
+        assert store.get(("k",)) is None
+        store.put(("k",), "v")
+        assert store.get(("k",)) == "v"
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
+
+    def test_lru_eviction_at_bound(self, name, memory_only):
+        store = tier(name)
+        bound = TIER_BOUNDS[name]
+        assert store.maxsize == bound
+        for i in range(bound):
+            store.put((i,), i)
+        assert store.get((0,)) == 0  # touched: key 1 is now the LRU
+        store.put((bound,), bound)
+        assert len(store) == bound
+        assert store.get((1,)) is None
+        assert store.get((0,)) == 0
+        assert store.get((bound,)) == bound
+
+    def test_cached_none_is_a_hit(self, name, memory_only):
+        store = tier(name)
+        calls = []
+
+        def build():
+            calls.append(1)
+            return None
+
+        assert get_or_build(store, ("none",), build) is None
+        assert get_or_build(store, ("none",), build) is None
+        assert len(calls) == 1
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
+
+    def test_ladder_builds_once(self, name, memory_only):
+        store = tier(name)
+        built = get_or_build(store, ("x",), lambda: ["artifact"])
+        assert get_or_build(store, ("x",), lambda: ["other"]) is built
+
+    def test_clear_caches_empties_every_tier_keeps_counters(
+            self, name, memory_only):
+        for other in TIER_BOUNDS:
+            tier(other).put(("k",), 1)
+        store = tier(name)
+        store.get(("k",))
+        store.get(("absent",))
+        clear_caches()
+        assert all(len(tier(other)) == 0 for other in TIER_BOUNDS)
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
+        assert cache_stats()[name]["hits"] == 1
+
+
+class TestOneView:
+    def test_cache_stats_covers_every_tier(self, memory_only):
+        stats = cache_stats()
+        assert set(TIER_BOUNDS) <= set(stats)
+        assert stats["disk"] is None
+        for name, bound in TIER_BOUNDS.items():
+            assert stats[name]["maxsize"] == bound
+        assert stats["occupancy"]["maxsize"] == 4096
+
+    def test_clear_caches_clears_occupancy_memo(self, memory_only):
+        from repro.gpusim.config import KEPLER_K20
+        from repro.gpusim.occupancy import occupancy
+
+        occupancy(KEPLER_K20, 128)
+        assert cache_stats()["occupancy"]["size"] >= 1
+        clear_caches()
+        assert cache_stats()["occupancy"]["size"] == 0
+
+    def test_unshardable_plan_cached_as_none(self, memory_only):
+        from repro.core.sharding import shard_workload
+
+        tiny = NestedLoopWorkload("tiny", np.array([5], dtype=np.int64))
+        assert shard_workload(tiny, 4) is None
+        assert shard_workload(tiny, 4) is None
+        shard = tier("shard").stats
+        assert (shard.hits, shard.misses) == (1, 1)
+
+    def test_unknown_tier(self):
+        with pytest.raises(ConfigError, match="unknown cache tier"):
+            tier("plans")
+
+
+class TestConcurrency:
+    def test_threads_share_a_store_without_lost_updates(self):
+        """More threads than cores hammer one small store through
+        lookups, inserts and evictions; every probe is counted."""
+        store = PlanCache(maxsize=8, name="stress")
+        n_threads, n_ops = 8, 2000
+        errors = []
+
+        def work(seed):
+            try:
+                for i in range(n_ops):
+                    key = ((seed * 7 + i) % 24,)
+                    if store.get(key) is None:
+                        store.put(key, i)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,))
+                       for s in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert store.stats.lookups == n_threads * n_ops
+        assert len(store) <= store.maxsize

@@ -9,9 +9,8 @@ import pytest
 
 import repro
 from repro.core import artifactcache
-from repro.core.analysis import clear_analysis_cache
 from repro.core.mutation import MutationBatch, PairInserts
-from repro.core.plancache import default_cache
+from repro.core.plancache import clear_caches
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ServiceError
 from repro.service.streams import WorkloadStream
@@ -23,16 +22,14 @@ def isolated_caches():
     saved_env = os.environ.get(artifactcache.ENV_VAR)
     artifactcache._cache = None
     os.environ.pop(artifactcache.ENV_VAR, None)
-    default_cache().clear()
-    clear_analysis_cache(reset_stats=True)
+    clear_caches(reset_stats=True)
     yield
     artifactcache._cache = saved
     if saved_env is None:
         os.environ.pop(artifactcache.ENV_VAR, None)
     else:
         os.environ[artifactcache.ENV_VAR] = saved_env
-    default_cache().clear()
-    clear_analysis_cache(reset_stats=True)
+    clear_caches(reset_stats=True)
 
 
 def make_workload(seed=0, outer=200):

@@ -11,7 +11,6 @@ import repro
 from repro.core import artifactcache
 from repro.core.analysis import (
     analysis_stats,
-    clear_analysis_cache,
     get_analysis,
     get_tree_analysis,
 )
@@ -19,7 +18,7 @@ from repro.core.artifactcache import configure_artifact_cache
 from repro.core.autotune import autotune
 from repro.core.dual_queue import split_by_threshold
 from repro.core.params import TemplateParams
-from repro.core.plancache import default_cache
+from repro.core.plancache import clear_caches, default_cache
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.registry import ALL_TEMPLATES, resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -34,16 +33,14 @@ def isolated_caches():
     saved_env = os.environ.get(artifactcache.ENV_VAR)
     artifactcache._cache = None
     os.environ.pop(artifactcache.ENV_VAR, None)
-    default_cache().clear()
-    clear_analysis_cache(reset_stats=True)
+    clear_caches(reset_stats=True)
     yield
     artifactcache._cache = saved
     if saved_env is None:
         os.environ.pop(artifactcache.ENV_VAR, None)
     else:
         os.environ[artifactcache.ENV_VAR] = saved_env
-    default_cache().clear()
-    clear_analysis_cache(reset_stats=True)
+    clear_caches(reset_stats=True)
 
 
 def make_workload(seed=0, outer=900, name=None):
@@ -173,8 +170,7 @@ class TestColdWarmEquivalence:
         cold = template.run(workload, KEPLER_K20)
         assert cache.snapshot()["writes"] >= 1
 
-        default_cache().clear()
-        clear_analysis_cache()
+        clear_caches()
         warm = template.run(workload, KEPLER_K20)
         assert cache.stats["plan"]["hits"] == 1
         assert warm.time_ms == cold.time_ms
@@ -196,8 +192,7 @@ class TestColdWarmEquivalence:
 
         for entry in tmp_path.rglob("*.pkl"):
             entry.write_bytes(b"\x00corrupt")
-        default_cache().clear()
-        clear_analysis_cache()
+        clear_caches()
         recovered = template.run(workload, KEPLER_K20)
         assert cache.snapshot()["corrupt"] >= 1
         assert recovered.time_ms == cold.time_ms

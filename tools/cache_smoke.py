@@ -11,12 +11,16 @@ Fast end-to-end gate (wired into ``make test`` as ``make cache-smoke``):
 2. **analysis sharing** — the second process is also probed with a
    different template of the same workload, which must reuse the disk
    ``analysis`` tier (the two-level pipeline's cross-template artifact);
-3. **corruption tolerance** — every cached entry is truncated/garbled in
-   place; a third process must degrade to cold misses (recording
+3. **stale code** — a copy of the package with one line of the cost
+   model changed runs against the same warm directory; its entries are
+   keyed on a different code digest, so it must record zero hits on every
+   tier and return the edited model's fresh result, not the cached one;
+4. **corruption tolerance** — every cached entry is truncated/garbled in
+   place; a further process must degrade to cold misses (recording
    ``corrupt`` counts), never crash, and still produce the same result.
 
 Children are spawned with ``sys.executable`` so nothing is inherited via
-fork: every hit in steps 1-3 is a genuine disk round trip.  Exit code 0 =
+fork: every hit in steps 1-4 is a genuine disk round trip.  Exit code 0 =
 all checks passed.  Keep this under a few seconds.
 """
 
@@ -24,12 +28,17 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: the cost-model line the stale-code check edits in its package copy
+_COST_LINE = ("    return max(config.cycles_per_segment, "
+              "config.dram_latency_cycles / outstanding)\n")
 
 #: runs in a fresh child process: execute one template against the shared
 #: cache dir and report simulated time + per-tier cache counters as JSON
@@ -60,9 +69,10 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def run_child(cache_dir: str, template: str = "dual-queue") -> dict:
+def run_child(cache_dir: str, template: str = "dual-queue",
+              src: Path = REPO_ROOT / "src") -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = str(src)
     env.pop("REPRO_CACHE_DIR", None)  # the child must rely on argv alone
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, cache_dir, template],
@@ -100,6 +110,27 @@ def main() -> int:
                  f"analysis: {other['stats']}")
         print(f"analysis sharing ok: "
               f"{tier(other, 'analysis')['hits']} cross-template hit(s)")
+
+        with tempfile.TemporaryDirectory(prefix="repro-stale-src-") as src:
+            shutil.copytree(REPO_ROOT / "src" / "repro", Path(src) / "repro",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            costmodel = Path(src) / "repro" / "gpusim" / "costmodel.py"
+            text = costmodel.read_text()
+            if text.count(_COST_LINE) != 1:
+                fail("stale-code check: the cost-model line to edit is gone; "
+                     "update _COST_LINE")
+            costmodel.write_text(
+                text.replace(_COST_LINE, _COST_LINE.replace("max(", "2 * max(")))
+            edited = run_child(tmp, src=Path(src))
+        hit_tiers = [name for name, counts in edited["stats"]["tiers"].items()
+                     if counts["hits"]]
+        if hit_tiers:
+            fail(f"edited code hit entries of the real tree: {hit_tiers}")
+        if edited["time_ms"] == cold["time_ms"]:
+            fail("edited cost model returned the cached result "
+                 f"{cold['time_ms']}")
+        print(f"stale code ok: edited cost model missed every tier, "
+              f"{edited['time_ms']:.4f} ms fresh vs {cold['time_ms']:.4f} ms")
 
         entries = sorted(Path(tmp).rglob("*.pkl"))
         if not entries:

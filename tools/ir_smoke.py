@@ -33,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
-from repro.core.analysis import clear_analysis_cache  # noqa: E402
+from repro.core.plancache import clear_caches  # noqa: E402
 from repro.core.recursive import RecursiveTreeWorkload  # noqa: E402
 from repro.core.workload import NestedLoopWorkload  # noqa: E402
 from repro.ir import auto_select, clear_selection_cache  # noqa: E402
@@ -101,8 +101,7 @@ def check_tree(tree) -> None:
 
 def check_fingerprint_stability(loop) -> None:
     first = auto_select(loop).fingerprint
-    clear_selection_cache()
-    clear_analysis_cache()
+    clear_caches()
     second = auto_select(loop).fingerprint
     if first != second:
         fail(f"selection fingerprint unstable: {first} != {second}")
