@@ -129,10 +129,9 @@ def _service_comparison(args) -> dict:
     for fuse in (False, True):
         best = None
         for _ in range(args.trials):
-            with serve(workers=1, max_batch=args.max_batch,
+            with serve(max_batch=args.max_batch,
                        batch_window_s=args.window_ms / 1e3,
-                       fuse_batches=fuse,
-                       inline_cost_threshold=10**9) as svc:
+                       fuse_batches=fuse) as svc:
                 run = run_closed_loop(svc, mix, clients=args.clients)
                 stats = svc.stats()
             if run.get("failed"):

@@ -6,10 +6,9 @@ long-lived runtime with the shape of an inference-serving stack:
 * :class:`TemplateService` — asyncio front end with admission control
   (bounded in-flight requests, structured rejections), a micro-batcher
   that coalesces requests sharing a plan-cache identity into one
-  execution, a small/large dual queue (inline fast path vs process
-  pool), per-request timeouts, bounded retry with backoff, and graceful
-  degradation of dynamic-parallelism templates to their non-nested
-  fallbacks.
+  execution on a worker thread of the event loop, per-request
+  timeouts, bounded retry with backoff, and graceful degradation of
+  dynamic-parallelism templates to their non-nested fallbacks.
 * :class:`ServiceHandle` / :func:`serve` — synchronous facade running
   the event loop on a background thread (also exported as
   ``repro.serve``).
@@ -21,7 +20,7 @@ glossary.
 """
 
 from repro.service.admission import PriorityClassQueue
-from repro.service.batcher import Batch, MicroBatcher
+from repro.service.batcher import Batch, coalesce
 from repro.service.handle import ServiceHandle, serve
 from repro.service.metrics import (
     ClassStats,
@@ -38,19 +37,12 @@ from repro.service.request import (
 )
 from repro.service.service import ServiceConfig, TemplateService
 from repro.service.streams import WorkloadStream
-from repro.service.workers import (
-    BatchSpec,
-    WorkerCrashError,
-    WorkerPool,
-    WorkerTimeoutError,
-    execute_batch,
-)
+from repro.service.workers import BatchSpec, execute_batch
 
 __all__ = [
     "Batch",
     "BatchSpec",
     "ClassStats",
-    "MicroBatcher",
     "PRIORITIES",
     "PriorityClassQueue",
     "Request",
@@ -59,10 +51,8 @@ __all__ = [
     "ServiceHandle",
     "ServiceStats",
     "TemplateService",
-    "WorkerCrashError",
-    "WorkerPool",
-    "WorkerTimeoutError",
     "WorkloadStream",
+    "coalesce",
     "execute_batch",
     "percentile",
     "percentiles",

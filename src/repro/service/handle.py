@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import dataclasses
 import threading
 
 from repro.errors import ServiceError
@@ -96,7 +97,7 @@ class ServiceHandle:
         return self._call(_mutate())
 
     def stats(self) -> dict:
-        """Point-in-time service/pool/queue/latency counters."""
+        """Point-in-time service/queue/latency counters."""
         return self._service.snapshot()
 
     @property
@@ -127,11 +128,19 @@ def serve(config: ServiceConfig | None = None, **config_kwargs) -> ServiceHandle
     """Start a serving runtime and return its synchronous handle.
 
     Pass a full :class:`ServiceConfig`, or its fields as keyword
-    arguments (``repro.serve(max_batch=32, workers=4)``); combining both
-    is ambiguous and raises.
+    arguments (``repro.serve(max_batch=32, devices=2)``); combining both
+    is ambiguous and raises.  An unknown field raises
+    :class:`~repro.errors.ServiceError` listing the known ones.
     """
     if config is not None and config_kwargs:
         raise ServiceError("pass a ServiceConfig or keyword fields, not both")
     if config is None:
+        known = [f.name for f in dataclasses.fields(ServiceConfig)]
+        unknown = sorted(set(config_kwargs) - set(known))
+        if unknown:
+            raise ServiceError(
+                f"unknown ServiceConfig field(s): {', '.join(unknown)}; "
+                f"known: {', '.join(known)}"
+            )
         config = ServiceConfig(**config_kwargs)
     return ServiceHandle(config)

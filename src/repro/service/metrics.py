@@ -130,13 +130,11 @@ class ServiceStats:
         self.scale_downs = 0
         # batching
         self.batches = 0
-        self.inline_batches = 0
-        self.pool_batches = 0
         self.coalesced_requests = 0  # requests beyond the first in a batch
         #: batches routed back to the BSP simulator because the queue
         #: backend cannot run their template (capability fallback)
         self.queue_fallbacks = 0
-        #: inline batches executed through a fused (multi-fingerprint)
+        #: batches executed through a fused (multi-fingerprint)
         #: executor pass instead of one pass each
         self.fused_batches = 0
         #: fused executor passes (each covers >= 2 batches)
@@ -145,8 +143,7 @@ class ServiceStats:
         # queue
         self.queue_depth = 0
         self.max_queue_depth = 0
-        # plan cache (aggregated from batch summaries; pool workers have
-        # their own process-local caches, so this is the service-wide view)
+        # plan cache (aggregated from batch summaries)
         self.cache_hits = 0
         self.cache_misses = 0
         #: committed workload-stream mutation batches (mutate_workload)
@@ -196,13 +193,9 @@ class ServiceStats:
         with self._lock:
             self.queue_depth = depth
 
-    def record_batch(self, size: int, route: str) -> None:
+    def record_batch(self, size: int) -> None:
         with self._lock:
             self.batches += 1
-            if route == "pool":
-                self.pool_batches += 1
-            else:
-                self.inline_batches += 1
             self.coalesced_requests += size - 1
             self._batch_sizes.append(size)
 
@@ -362,8 +355,6 @@ class ServiceStats:
                 },
                 "batching": {
                     "batches": self.batches,
-                    "inline_batches": self.inline_batches,
-                    "pool_batches": self.pool_batches,
                     "coalesced_requests": self.coalesced_requests,
                     "queue_fallbacks": self.queue_fallbacks,
                     "fused_batches": self.fused_batches,

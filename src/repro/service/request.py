@@ -62,7 +62,7 @@ def workload_kind(workload) -> str:
 
 
 def workload_cost(workload) -> int:
-    """Rough work estimate used for small/large routing.
+    """Rough work estimate of a workload (load-mix profiles report it).
 
     Inner-iteration count for nested loops, node count for trees — the
     quantities the plan build and executor pass actually scale with.
@@ -141,7 +141,6 @@ class Request:
             self.template_obj = self.template
             # custom instances only coalesce with themselves
             self._template_key = (self.template_obj.name, id(self.template))
-        self.cost = workload_cost(self.workload)
 
     def batch_key(self) -> tuple:
         """Identity the micro-batcher coalesces on (content-addressed).
@@ -191,8 +190,6 @@ class Response:
     batch_size: int = 1
     #: execution attempts (1 = first try succeeded; 0 = never executed)
     attempts: int = 0
-    #: where the run happened: "inline" | "pool" | "" (never ran)
-    route: str = ""
     #: whether the plan build was served from the plan cache
     cache_hit: bool = False
     #: device the batch was routed to (0 on a single-device service)

@@ -9,13 +9,13 @@ long-lived server.  The life of a request:
    block) so callers can shed or retry upstream.
 2. **Collection** — the batch loop drains the queue for up to
    ``batch_window_s`` (or ``max_batch`` requests) and hands the window to
-   the :class:`~repro.service.batcher.MicroBatcher`, which coalesces
-   requests sharing a batch key into one execution.
-3. **Execution** — each batch runs once, inline (small work) or on the
-   :class:`~repro.service.workers.WorkerPool` (large work), under a
+   :func:`~repro.service.batcher.coalesce`, which coalesces requests
+   sharing a batch key into one execution.
+3. **Execution** — each batch runs once on a worker thread of the event
+   loop (:func:`~repro.service.workers.execute_batch`), under a
    per-request timeout with bounded exponential-backoff retries.
 4. **Degradation** — when every attempt failed and the template uses
-   dynamic parallelism, the batch re-runs inline on the family's
+   dynamic parallelism, the batch re-runs on the family's
    non-nested fallback (``thread-mapped`` / ``flat``) and the responses
    carry ``degraded=True``; otherwise the responses are ``failed`` with
    the last error as the reason.
@@ -36,7 +36,7 @@ from repro.errors import ServiceError
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import resolve_engine
 from repro.service.admission import PriorityClassQueue
-from repro.service.batcher import Batch, MicroBatcher
+from repro.service.batcher import Batch, coalesce
 from repro.service.metrics import ServiceStats
 from repro.service.request import (
     DEGRADE_FALLBACK,
@@ -48,8 +48,6 @@ from repro.service.request import (
 from repro.service.streams import WorkloadStream
 from repro.service.workers import (
     BatchSpec,
-    WorkerPool,
-    WorkerTimeoutError,
     execute_batch,
     execute_batch_fused,
 )
@@ -67,10 +65,6 @@ class ServiceConfig:
     max_batch: int = 16
     #: how long the batch loop waits for co-travellers (seconds)
     batch_window_s: float = 0.002
-    #: workload cost (pairs/nodes) above which a batch goes to the pool
-    inline_cost_threshold: int = 1_000_000
-    #: worker processes backing the large-request path
-    workers: int = 2
     #: per-attempt execution timeout (None = unbounded)
     request_timeout_s: float | None = 30.0
     #: retries after the first failed attempt
@@ -87,7 +81,7 @@ class ServiceConfig:
     #: device; queue-incompatible templates are routed back to sim and
     #: counted, see docs/taskqueue.md)
     backend: str = "sim"
-    #: fuse the inline sim batches of one scheduling window — different
+    #: fuse the sim batches of one scheduling window — different
     #: fingerprints, same device/engine — into a single executor pass
     #: (``execute_fused``) instead of one event loop each; results are
     #: bit-identical, only wall time changes (see docs/performance.md)
@@ -105,7 +99,7 @@ class ServiceConfig:
     devices: int = 1
     #: latency/batch-size window kept for percentile stats
     stats_window: int = 4096
-    #: disk artifact cache shared with pool workers: None inherits the
+    #: disk artifact cache of the serving process: None inherits the
     #: process default (REPRO_CACHE_DIR), "" disables it, a path enables it
     cache_dir: str | None = None
     #: bound on how long ``stop(drain=True)`` waits for in-flight work
@@ -158,10 +152,6 @@ class ServiceConfig:
             raise ServiceError("max_batch must be >= 1")
         if self.batch_window_s < 0:
             raise ServiceError("batch_window_s cannot be negative")
-        if self.inline_cost_threshold < 0:
-            raise ServiceError("inline_cost_threshold cannot be negative")
-        if self.workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {self.workers}")
         if self.request_timeout_s is not None and self.request_timeout_s <= 0:
             raise ServiceError(
                 "request_timeout_s must be positive "
@@ -248,29 +238,23 @@ class ServiceConfig:
 class TemplateService:
     """Async template-serving runtime (see module docstring).
 
-    ``worker_pool`` and ``run_fn`` are injectable for fault testing: the
-    pool handles the "pool" route, ``run_fn`` the inline route (default
-    :func:`~repro.service.workers.execute_batch`).
+    ``run_fn`` is injectable for fault testing: it replaces
+    :func:`~repro.service.workers.execute_batch` for every batch, and a
+    service given one never fuses windows.
     """
 
     def __init__(
         self,
         config: ServiceConfig | None = None,
         *,
-        worker_pool: WorkerPool | None = None,
         run_fn=None,
     ) -> None:
         self.config = config or ServiceConfig()
         if self.config.cache_dir is not None:
-            # configure before the pool spawns so REPRO_CACHE_DIR (set by
-            # configure) is inherited by the worker processes
             from repro.core.artifactcache import configure_artifact_cache
 
             configure_artifact_cache(self.config.cache_dir or None)
         self.stats = ServiceStats(window=self.config.stats_window)
-        self.pool = worker_pool or WorkerPool(max_workers=self.config.workers)
-        self.batcher = MicroBatcher(self.config.inline_cost_threshold,
-                                    cache_dir=self.config.cache_dir)
         #: device topology: None for the classic single-device service, a
         #: DeviceGroup tracking per-device load when devices > 1 (or when
         #: the autoscaler may grow past one device)
@@ -284,7 +268,13 @@ class TemplateService:
                 self.config.device, self.config.devices,
                 engine=self.config.engine,
             )
-        self._run_fn = run_fn or execute_batch
+        #: None runs the module's execute_batch, looked up per call so a
+        #: tracer that rebinds it observes every batch
+        self._run_fn = run_fn
+        #: window fusion, decided once here: fused passes need the default
+        #: batch function and a single device
+        self._fuse = (self.config.fuse_batches and run_fn is None
+                      and self.device_group is None)
         self._queue: PriorityClassQueue | None = None
         self._loop_task: asyncio.Task | None = None
         self._scale_task: asyncio.Task | None = None
@@ -384,7 +374,6 @@ class TemplateService:
                     tenant=request.tenant,
                 ),
             )
-        self.pool.shutdown()
 
     # ----------------------------------------------------------- streams
     def register_workload(
@@ -592,7 +581,7 @@ class TemplateService:
                 self._queue.requeue_front(pending)
                 raise
             with obs.span("service.coalesce", pending=len(pending)):
-                batches = self.batcher.group(pending)
+                batches = coalesce(pending)
             singles, fused_groups = self._fusion_groups(batches)
             for batch in singles:
                 task = asyncio.create_task(self._dispatch(batch))
@@ -609,22 +598,18 @@ class TemplateService:
         """Partition a window's batches into per-batch dispatches and
         fusable groups.
 
-        A group fuses when >= 2 inline ``"sim"`` batches of the window
-        share a device config and engine — they become one fused executor
-        pass with per-batch result demux.  Everything else (pool routes,
-        queue backend, device groups, custom run_fn, fusion disabled)
-        keeps the classic one-dispatch-per-batch path, bit-for-bit.
+        A group fuses when >= 2 ``"sim"`` batches of the window share a
+        device config and engine — they become one fused executor pass
+        with per-batch result demux.  Everything else (queue backend,
+        device groups, custom run_fn, fusion disabled) keeps the classic
+        one-dispatch-per-batch path, bit-for-bit.
         """
-        if (
-            not self.config.fuse_batches
-            or self.device_group is not None
-            or self._run_fn is not execute_batch
-        ):
+        if not self._fuse:
             return batches, []
         singles: list[Batch] = []
         groups: dict[tuple, list[Batch]] = {}
         for batch in batches:
-            if batch.route != "inline" or batch.spec.backend != "sim":
+            if batch.spec.backend != "sim":
                 singles.append(batch)
                 continue
             key = (batch.spec.device.fingerprint(), batch.spec.engine)
@@ -638,12 +623,12 @@ class TemplateService:
         return singles, fused
 
     # -------------------------------------------------- execution policy
-    async def _execute(self, spec: BatchSpec, route: str) -> dict:
-        timeout = self.config.request_timeout_s
-        if route == "pool":
-            return await self.pool.run(spec, timeout)
+    async def _execute(self, spec: BatchSpec) -> dict:
+        """One attempt on a worker thread.  On timeout the thread cannot
+        be stopped: it runs on detached and its result is dropped."""
+        run_fn = self._run_fn or execute_batch
         return await asyncio.wait_for(
-            asyncio.to_thread(self._run_fn, spec), timeout
+            asyncio.to_thread(run_fn, spec), self.config.request_timeout_s
         )
 
     async def _dispatch(self, batch: Batch, record: bool = True) -> None:
@@ -675,7 +660,7 @@ class TemplateService:
 
         Per-batch policy (shed, overload degradation) still applies
         before fusion.  Any failure of the fused pass — a timeout, a bad
-        template, a worker error — falls back to dispatching each batch
+        template, an execution error — falls back to dispatching each batch
         through the classic per-batch path (which carries its own retry /
         degradation policy), so fusion can never make a request fail that
         would have succeeded unfused.  Leak-proof like :meth:`_dispatch`:
@@ -698,7 +683,7 @@ class TemplateService:
     async def _dispatch_fused_inner(self, batches: list[Batch]) -> None:
         live: list[Batch] = []
         for batch in batches:
-            self.stats.record_batch(batch.size, batch.route)
+            self.stats.record_batch(batch.size)
             shed_reason = self._should_shed(batch)
             if shed_reason is not None:
                 self._shed(batch, shed_reason)
@@ -740,11 +725,11 @@ class TemplateService:
             self._answer_ok(
                 batch, summary, attempts=1,
                 degraded=getattr(batch, "_load_degraded", False),
-                route=batch.route, device_index=0,
+                device_index=0,
             )
 
     def _answer_ok(self, batch: Batch, summary: dict, *, attempts: int,
-                   degraded: bool, route: str, device_index: int) -> None:
+                   degraded: bool, device_index: int) -> None:
         """Answer every member of ``batch`` from one execution summary."""
         loop = asyncio.get_running_loop()
         now = loop.time()
@@ -763,7 +748,6 @@ class TemplateService:
                     latency_s=now - request.created_s,
                     batch_size=batch.size,
                     attempts=attempts,
-                    route=route,
                     cache_hit=summary.get("cache_hits", 0) > 0,
                     device=device_index,
                     priority=request.priority,
@@ -789,7 +773,6 @@ class TemplateService:
                     reason=reason,
                     latency_s=now - request.created_s,
                     batch_size=batch.size,
-                    route=batch.route,
                     priority=request.priority,
                     tenant=request.tenant,
                 ),
@@ -874,7 +857,7 @@ class TemplateService:
 
     async def _dispatch_batch(self, batch: Batch, record: bool = True) -> None:
         if record:
-            self.stats.record_batch(batch.size, batch.route)
+            self.stats.record_batch(batch.size)
         shed_reason = self._should_shed(batch)
         if shed_reason is not None:
             self._shed(batch, shed_reason)
@@ -905,15 +888,15 @@ class TemplateService:
             device_index = self.device_group.acquire()
             batch.spec.device_index = device_index
         template_name = str(getattr(batch.requests[0].template_obj, "name", ""))
-        with obs.span("service.batch", route=batch.route, size=batch.size,
+        with obs.span("service.batch", size=batch.size,
                       template=template_name, device=device_index):
             for attempt in range(1 + self.config.max_retries):
                 attempts += 1
                 try:
                     exec_start = time.perf_counter()
-                    with obs.span("service.execute", route=batch.route,
-                                  attempt=attempts, template=template_name):
-                        summary = await self._execute(batch.spec, batch.route)
+                    with obs.span("service.execute", attempt=attempts,
+                                  template=template_name):
+                        summary = await self._execute(batch.spec)
                     self.stats.record_exec(time.perf_counter() - exec_start)
                     break
                 except asyncio.CancelledError:
@@ -921,10 +904,9 @@ class TemplateService:
                 except BaseException as exc:  # noqa: BLE001 - policy boundary
                     error = exc
                     if attempt < self.config.max_retries:
-                        timed_out = isinstance(
-                            exc, (asyncio.TimeoutError, WorkerTimeoutError)
+                        self.stats.record_retry(
+                            isinstance(exc, asyncio.TimeoutError)
                         )
-                        self.stats.record_retry(timed_out)
                         await asyncio.sleep(
                             self.config.retry_backoff_s * (2 ** attempt)
                         )
@@ -936,12 +918,10 @@ class TemplateService:
             ):
                 fallback = DEGRADE_FALLBACK[batch.requests[0].kind]
                 try:
-                    # the fallback runs inline: the pool just proved
-                    # unreliable
                     with obs.span("service.degrade", fallback=fallback,
                                   template=template_name):
                         summary = await self._execute(
-                            replace(batch.spec, template=fallback), "inline"
+                            replace(batch.spec, template=fallback)
                         )
                     degraded = True
                     self.stats.record_degraded(priority=batch.priority)
@@ -958,29 +938,18 @@ class TemplateService:
             self.stats.record_cache(
                 summary.get("cache_hits", 0), summary.get("cache_misses", 0)
             )
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+        if summary is not None:
+            self._answer_ok(
+                batch, summary, attempts=attempts + (1 if degraded else 0),
+                degraded=degraded or load_degraded, device_index=device_index,
+            )
+            return
+        now = asyncio.get_running_loop().time()
         for request, future in zip(batch.requests, batch.futures):
-            if summary is not None:
-                response = Response(
-                    id=request.id,
-                    status="ok",
-                    template=summary["template"],
-                    workload=summary["workload"],
-                    degraded=degraded or load_degraded,
-                    time_ms=summary["time_ms"],
-                    metrics=summary["metrics"],
-                    latency_s=now - request.created_s,
-                    batch_size=batch.size,
-                    attempts=attempts + (1 if degraded else 0),
-                    route=batch.route if not degraded else "inline",
-                    cache_hit=summary.get("cache_hits", 0) > 0,
-                    device=device_index,
-                    priority=request.priority,
-                    tenant=request.tenant,
-                )
-            else:
-                response = Response(
+            self._finish(
+                request,
+                future,
+                Response(
                     id=request.id,
                     status="failed",
                     template=str(getattr(template_obj, "name", "")),
@@ -989,11 +958,10 @@ class TemplateService:
                     latency_s=now - request.created_s,
                     batch_size=batch.size,
                     attempts=attempts,
-                    route=batch.route,
                     priority=request.priority,
                     tenant=request.tenant,
-                )
-            self._finish(request, future, response)
+                ),
+            )
 
     def _finish(self, request: Request, future, response: Response) -> None:
         if getattr(request, "_answered", False):
@@ -1016,7 +984,7 @@ class TemplateService:
                 "service.request", request.created_perf,
                 now - request.created_perf, status=response.status,
                 template=response.template, batch_size=response.batch_size,
-                route=response.route, degraded=response.degraded,
+                degraded=response.degraded,
             )
         if not future.done():
             future.set_result(response)
@@ -1049,7 +1017,6 @@ class TemplateService:
                 overloaded = p99 > self.config.scale_up_p99_ms
             if overloaded and n < self.config.max_devices:
                 self.device_group.add_member()
-                self.pool.resize(max(self.config.workers, n + 1))
                 self.stats.record_scale(up=True)
                 obs.instant("service.scale_up", devices=n + 1,
                             pending=self._pending)
@@ -1065,7 +1032,6 @@ class TemplateService:
                 )
                 if fits_smaller and latency_ok \
                         and self.device_group.remove_member():
-                    self.pool.resize(max(self.config.workers, n - 1))
                     self.stats.record_scale(up=False)
                     obs.instant("service.scale_down", devices=n - 1,
                                 pending=self._pending)
@@ -1073,11 +1039,10 @@ class TemplateService:
 
     # ----------------------------------------------------------- metrics
     def snapshot(self) -> dict:
-        """Service + pool counters in one dict (``stats()`` on handles)."""
+        """Every service counter in one dict (``stats()`` on handles)."""
         snap = self.stats.snapshot()
-        snap["pool"] = self.pool.snapshot()
-        # every cache tier of this process (inline route); pool workers
-        # keep their own, summed per batch into the plan_cache counters
+        # no batch leaves the process; perfbench/bench.py still reads this
+        snap["pool"] = {"submitted": 0}
         snap["caches"] = cache_stats()
         if obs.enabled():
             # aggregated per-span-name timings of the traced region; the
@@ -1097,8 +1062,6 @@ class TemplateService:
             "max_pending": self.config.max_pending,
             "max_batch": self.config.max_batch,
             "batch_window_s": self.config.batch_window_s,
-            "inline_cost_threshold": self.config.inline_cost_threshold,
-            "workers": self.config.workers,
             "engine": self.config.engine,
             "backend": self.config.backend,
             "devices": self.config.devices,

@@ -1,54 +1,34 @@
-"""Batch execution: the worker function and the process-pool wrapper.
+"""Batch execution: the functions that run one batch's template.
 
-:func:`execute_batch` is the one function that actually runs a template —
-module-level and driven by a picklable :class:`BatchSpec`, so the same
-code serves the inline fast path (a worker thread of the event loop) and
-the :class:`WorkerPool` (a ``ProcessPoolExecutor``).  Pool workers keep
-their own process-local plan caches, which warm up across batches exactly
-like the bench runner's workers do.
-
-The pool wrapper owns the messy parts of using processes as a serving
-substrate: per-call timeouts, detecting a broken pool (a worker died
-mid-call) and transparently respawning it, and recycling the pool after a
-timeout so a hung worker cannot pin a slot forever.
+:func:`execute_batch` runs one batch, :func:`execute_batch_fused` runs a
+scheduling window's batches as one fused executor pass.  The service calls
+both on a worker thread of its event loop (``asyncio.to_thread``), so they
+share this process's plan caches and disk artifact cache.  Each returns the
+same result summary per batch (see :func:`_summary`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.backends import SimBackend
+from repro.core.artifactcache import get_artifact_cache
 from repro.core.params import TemplateParams
 from repro.core.plancache import default_cache
 from repro.core.registry import resolve
-from repro.errors import ServiceError
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 
 __all__ = [
     "BatchSpec",
-    "WorkerCrashError",
-    "WorkerTimeoutError",
-    "WorkerPool",
     "execute_batch",
     "execute_batch_fused",
 ]
 
 
-class WorkerTimeoutError(ServiceError):
-    """A batch execution exceeded the per-request timeout."""
-
-
-class WorkerCrashError(ServiceError):
-    """A pool worker died (or the pool broke) while executing a batch."""
-
-
 @dataclass
 class BatchSpec:
-    """Everything one batch execution needs — picklable when the template
-    is given by name (instance-templates are routed inline)."""
+    """Everything one batch execution needs."""
 
     template: object  # canonical name or template instance
     workload: object
@@ -56,9 +36,6 @@ class BatchSpec:
     device: DeviceConfig = KEPLER_K20
     params: TemplateParams = field(default_factory=TemplateParams)
     engine: str = "fast"
-    #: disk artifact cache for the executing process: None leaves the
-    #: process default alone, "" disables it, a path enables it
-    cache_dir: str | None = None
     #: device this batch was routed to by the service's DeviceGroup;
     #: None on a single-device service (no per-device obs counters)
     device_index: int | None = None
@@ -67,35 +44,55 @@ class BatchSpec:
     backend: str = "sim"
 
 
-def execute_batch(spec: BatchSpec) -> dict:
-    """Run one batch's template once; return a picklable result summary.
+def _template_of(spec: BatchSpec):
+    if isinstance(spec.template, str):
+        return resolve(spec.template, kind=spec.kind)
+    return spec.template
 
-    The summary — not the full :class:`TemplateRun` — crosses the process
-    boundary: launch graphs of large workloads are megabytes, and every
-    request in the batch only needs the timing/metrics payload.
 
-    ``cache_hits``/``cache_misses`` are the plan-cache probe deltas of this
-    call in the executing process; under concurrent inline batches the
-    attribution is approximate (the counters are process-global).
-    ``disk_hits``/``disk_misses`` are the same-call deltas of the disk
-    artifact cache (zero when none is configured).
-    """
-    from repro.core.artifactcache import (
-        configure_artifact_cache,
-        get_artifact_cache,
-    )
-
-    if spec.cache_dir is not None:
-        configure_artifact_cache(spec.cache_dir or None)
-    disk = get_artifact_cache()
-    disk0 = disk.snapshot() if disk is not None else None
-    tmpl = (
-        resolve(spec.template, kind=spec.kind)
-        if isinstance(spec.template, str)
-        else spec.template
-    )
+def _cache_counters(disk) -> tuple[int, int, int, int]:
+    """Plan-cache and disk-cache ``(hits, misses)`` of this process."""
     stats = default_cache().stats
-    hits0, misses0 = stats.hits, stats.misses
+    if disk is None:
+        return stats.hits, stats.misses, 0, 0
+    snap = disk.snapshot()
+    return stats.hits, stats.misses, snap["hits"], snap["misses"]
+
+
+def _cache_delta(disk, before: tuple) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(_cache_counters(disk), before))
+
+
+def _summary(spec: BatchSpec, run, delta: tuple, wall_s: float) -> dict:
+    """The result summary that answers every request of one batch.
+
+    The requests need only the timing/metrics payload, not the full
+    :class:`TemplateRun` with its launch graph.  ``cache_hits``/
+    ``cache_misses`` and ``disk_hits``/``disk_misses`` are the plan-cache
+    and disk-cache probe deltas of the batch (disk zero when no disk cache
+    is configured); under concurrent batches the attribution is
+    approximate, since the counters are process-global.
+    """
+    hits, misses, disk_hits, disk_misses = delta
+    return {
+        "template": run.template,
+        "workload": run.workload,
+        "time_ms": run.time_ms,
+        "metrics": run.metrics.as_dict(),
+        "wall_s": wall_s,
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "disk_hits": disk_hits,
+        "disk_misses": disk_misses,
+        "device": spec.device_index or 0,
+    }
+
+
+def execute_batch(spec: BatchSpec) -> dict:
+    """Run one batch's template once; return its result summary."""
+    disk = get_artifact_cache()
+    before = _cache_counters(disk)
+    tmpl = _template_of(spec)
     if spec.backend == "queue":
         from repro.queue.backend import QueueBackend
 
@@ -106,23 +103,7 @@ def execute_batch(spec: BatchSpec) -> dict:
     start = time.perf_counter()
     run = tmpl.run(spec.workload, spec.device, spec.params, executor=backend)
     wall = time.perf_counter() - start
-    disk_hits = disk_misses = 0
-    if disk is not None:
-        disk1 = disk.snapshot()
-        disk_hits = disk1["hits"] - disk0["hits"]
-        disk_misses = disk1["misses"] - disk0["misses"]
-    return {
-        "template": run.template,
-        "workload": run.workload,
-        "time_ms": run.time_ms,
-        "metrics": run.metrics.as_dict(),
-        "wall_s": wall,
-        "cache_hits": stats.hits - hits0,
-        "cache_misses": stats.misses - misses0,
-        "disk_hits": disk_hits,
-        "disk_misses": disk_misses,
-        "device": spec.device_index or 0,
-    }
+    return _summary(spec, run, _cache_delta(disk, before), wall)
 
 
 def execute_batch_fused(specs: list[BatchSpec]) -> list[dict]:
@@ -130,224 +111,49 @@ def execute_batch_fused(specs: list[BatchSpec]) -> list[dict]:
     with ``specs``.
 
     The fused sibling of :func:`execute_batch`: all specs must share a
-    device config, engine, cache_dir and backend ``"sim"`` (the service's
-    fusion grouping guarantees this).  Plans resolve per spec through the
-    normal cache ladder (:meth:`~repro.core.base.NestedLoopTemplate._prepare`
-    — plan cache, disk plan tier, run-tier probe); the run-tier misses
-    then execute as a single fused event loop on one
-    :class:`SimBackend`, which is bit-identical to running them
-    sequentially.  Per-spec cache deltas are measured around each spec's
-    own prepare step, so attribution matches the sequential path.
+    device config, engine and backend ``"sim"`` (the service's fusion
+    grouping guarantees this).  Plans resolve per spec through the normal
+    cache ladder (:meth:`~repro.core.base.NestedLoopTemplate._prepare` —
+    plan cache, disk plan tier, run-tier probe); the run-tier misses then
+    execute as a single fused event loop on one :class:`SimBackend`, which
+    is bit-identical to running them sequentially.  Per-spec cache deltas
+    are measured around each spec's own prepare step, so attribution
+    matches the sequential path.
 
     Templates that don't expose the prepare seam (custom instances) run
     sequentially within the same call.
     """
-    from repro.core.artifactcache import (
-        configure_artifact_cache,
-        get_artifact_cache,
-    )
-
     if not specs:
         return []
-    if specs[0].cache_dir is not None:
-        configure_artifact_cache(specs[0].cache_dir or None)
     disk = get_artifact_cache()
-    stats = default_cache().stats
     backend = SimBackend(specs[0].device, engine=specs[0].engine,
                          device_index=specs[0].device_index)
     start = time.perf_counter()
-    summaries: list[dict] = []
+    runs: list = []
+    deltas: list[tuple] = []
     pending: list[tuple[int, object]] = []  # (spec index, _PreparedRun)
     for spec in specs:
-        tmpl = (
-            resolve(spec.template, kind=spec.kind)
-            if isinstance(spec.template, str)
-            else spec.template
-        )
-        hits0, misses0 = stats.hits, stats.misses
-        disk0 = disk.snapshot() if disk is not None else None
+        tmpl = _template_of(spec)
+        before = _cache_counters(disk)
         prepare = getattr(tmpl, "_prepare", None)
         if prepare is None:
             run = tmpl.run(spec.workload, spec.device, spec.params,
                            executor=backend)
-            prep = None
         else:
             prep = prepare(spec.workload, spec.device, spec.params, backend)
-            run = prep.finish() if prep.result is not None else None
-        disk_hits = disk_misses = 0
-        if disk is not None:
-            disk1 = disk.snapshot()
-            disk_hits = disk1["hits"] - disk0["hits"]
-            disk_misses = disk1["misses"] - disk0["misses"]
-        summary = {
-            "template": None,
-            "workload": getattr(spec.workload, "name", ""),
-            "time_ms": None,
-            "metrics": None,
-            "wall_s": 0.0,
-            "cache_hits": stats.hits - hits0,
-            "cache_misses": stats.misses - misses0,
-            "disk_hits": disk_hits,
-            "disk_misses": disk_misses,
-            "device": spec.device_index or 0,
-        }
-        if run is not None:
-            summary["template"] = run.template
-            summary["workload"] = run.workload
-            summary["time_ms"] = run.time_ms
-            summary["metrics"] = run.metrics.as_dict()
-        summaries.append(summary)
-        if prep is not None and prep.result is None:
-            pending.append((len(summaries) - 1, prep))
+            if prep.result is None:
+                pending.append((len(runs), prep))
+                run = None
+            else:
+                run = prep.finish()
+        deltas.append(_cache_delta(disk, before))
+        runs.append(run)
     if pending:
         # one fused event loop over every run-tier miss in the window
         results = backend.submit_many([prep.graph for _, prep in pending])
         for (idx, prep), result in zip(pending, results):
             prep.record(result)
-            run = prep.finish()
-            summaries[idx]["template"] = run.template
-            summaries[idx]["workload"] = run.workload
-            summaries[idx]["time_ms"] = run.time_ms
-            summaries[idx]["metrics"] = run.metrics.as_dict()
+            runs[idx] = prep.finish()
     wall = time.perf_counter() - start
-    for summary in summaries:
-        summary["wall_s"] = wall
-    return summaries
-
-
-class WorkerPool:
-    """A ``ProcessPoolExecutor`` hardened for serving.
-
-    Parameters
-    ----------
-    max_workers:
-        pool size (processes under the default factory).
-    executor_factory:
-        ``f(max_workers) -> Executor``; tests substitute a thread-backed
-        executor so fault injection needs no real child processes.
-    run_fn:
-        the batch function submitted to the executor (default
-        :func:`execute_batch`); fault tests substitute crashing/hanging
-        stand-ins.
-    """
-
-    def __init__(
-        self,
-        max_workers: int = 2,
-        executor_factory=None,
-        run_fn=None,
-    ) -> None:
-        if max_workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self._factory = executor_factory or (
-            lambda n: ProcessPoolExecutor(max_workers=n)
-        )
-        self.run_fn = run_fn or execute_batch
-        self._pool = None
-        self.submitted = 0
-        self.completed = 0
-        self.crashes = 0
-        self.timeouts = 0
-        #: plain exceptions raised by run_fn (PlanError, ...): the worker
-        #: survived, the batch did not.  Every submission lands in exactly
-        #: one of completed/crashes/timeouts/failures.
-        self.failures = 0
-        self.recycles = 0
-
-    def _ensure(self):
-        if self._pool is None:
-            self._pool = self._factory(self.max_workers)
-        return self._pool
-
-    def resize(self, max_workers: int) -> None:
-        """Change the pool size; takes effect at the next (re)spawn.
-
-        The autoscaler calls this alongside device-group resizes.  An
-        existing executor is recycled only when *growing* — shrinking
-        just lowers the size the next respawn uses, so in-flight batches
-        are never abandoned to shed idle capacity.
-        """
-        if max_workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
-        if max_workers == self.max_workers:
-            return
-        grew = max_workers > self.max_workers
-        self.max_workers = max_workers
-        if grew and self._pool is not None:
-            self.recycle()
-
-    def recycle(self) -> None:
-        """Replace the executor; old workers finish (or die) detached.
-
-        Called after a timeout: a hung task cannot be cancelled, but a
-        fresh pool restores the advertised parallelism immediately.
-        """
-        pool, self._pool = self._pool, None
-        self.recycles += 1
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    async def run(self, spec: BatchSpec, timeout_s: float | None) -> dict:
-        """Execute ``spec`` on the pool with a timeout; raises
-        :class:`WorkerTimeoutError` / :class:`WorkerCrashError`."""
-        self.submitted += 1
-        try:
-            future = self._ensure().submit(self.run_fn, spec)
-        except BrokenExecutor as exc:
-            self.crashes += 1
-            self.recycle()
-            raise WorkerCrashError(f"worker pool broken at submit: {exc}") from exc
-        try:
-            result = await asyncio.wait_for(
-                asyncio.wrap_future(future), timeout_s
-            )
-        except asyncio.TimeoutError:
-            future.cancel()
-            self.timeouts += 1
-            self.recycle()
-            raise WorkerTimeoutError(
-                f"batch exceeded {timeout_s:g}s on the worker pool"
-            ) from None
-        except BrokenExecutor as exc:
-            self.crashes += 1
-            self.recycle()
-            raise WorkerCrashError(f"worker process died: {exc}") from exc
-        except asyncio.CancelledError:
-            raise
-        except BaseException:
-            # run_fn raised (e.g. PlanError): a failed batch, not a dead
-            # worker — count it so snapshot() totals reconcile
-            self.failures += 1
-            raise
-        self.completed += 1
-        return result
-
-    def shutdown(self) -> None:
-        """Tear the pool down (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def snapshot(self) -> dict:
-        """Pool counters for ``service.stats()``."""
-        return {
-            "max_workers": self.max_workers,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "failures": self.failures,
-            "recycles": self.recycles,
-        }
-
-    def invariant_violations(self) -> list[str]:
-        """Accounting violations (empty when consistent and quiescent)."""
-        settled = self.completed + self.crashes + self.timeouts + self.failures
-        if self.submitted != settled:
-            return [
-                f"pool submitted ({self.submitted}) != completed "
-                f"({self.completed}) + crashes ({self.crashes}) + "
-                f"timeouts ({self.timeouts}) + failures ({self.failures})"
-            ]
-        return []
+    return [_summary(spec, run, delta, wall)
+            for spec, run, delta in zip(specs, runs, deltas)]

@@ -224,8 +224,7 @@ class TestServiceFusion:
 
         async def driver():
             config = ServiceConfig(batch_window_s=0.05, max_batch=16,
-                                   fuse_batches=fuse, workers=1,
-                                   inline_cost_threshold=10**9)
+                                   fuse_batches=fuse)
             service = TemplateService(config)
             await service.start()
             try:
@@ -255,3 +254,38 @@ class TestServiceFusion:
         batching = fused_stats["batching"]
         assert batching["fused_passes"] >= 1
         assert batching["fused_batches"] >= 2
+
+    def test_rebinding_execute_batch_keeps_fusion(self, monkeypatch):
+        """A tracer that rebinds the module's execute_batch after the
+        service was built must not switch window fusion off, and the
+        unfused path must call the rebound function."""
+        import asyncio
+
+        import repro.service.service as service_mod
+
+        calls = []
+        original = service_mod.execute_batch
+
+        def traced(spec):
+            calls.append(spec)
+            return original(spec)
+
+        workloads = [_nested_workload("power", n=400, seed=s)
+                     for s in (1, 2)]
+
+        async def driver():
+            service = TemplateService(ServiceConfig(batch_window_s=0.05))
+            monkeypatch.setattr(service_mod, "execute_batch", traced)
+            await service.start()
+            try:
+                window = await asyncio.gather(*(
+                    service.submit("dbuf-global", wl) for wl in workloads))
+                alone = await service.submit("dual-queue", workloads[0])
+            finally:
+                await service.stop()
+            return window, alone, service.stats.snapshot()
+
+        window, alone, stats = asyncio.run(driver())
+        assert all(r.ok for r in window) and alone.ok
+        assert stats["batching"]["fused_passes"] >= 1
+        assert len(calls) == 1

@@ -1,4 +1,4 @@
-"""Tests for the serving layer: admission, batching, routing, metrics,
+"""Tests for the serving layer: admission, batching, metrics,
 and the synchronous handle (fault injection lives in
 ``test_service_faults.py``)."""
 
@@ -14,12 +14,12 @@ from repro.core.params import TemplateParams
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ServiceError, WorkloadError
 from repro.service import (
-    MicroBatcher,
     PriorityClassQueue,
     Request,
     ServiceConfig,
     ServiceHandle,
     TemplateService,
+    coalesce,
     execute_batch,
     percentile,
     percentiles,
@@ -100,25 +100,23 @@ class TestRequestModel:
 
 
 class TestMicroBatcher:
-    def test_routing_by_cost(self, workload):
-        batcher = MicroBatcher(inline_cost_threshold=10)
-        request = Request(template="dbuf-global", workload=workload)
-        assert batcher.route_of(request) == "pool"
-        assert MicroBatcher(10**9).route_of(request) == "inline"
-
-    def test_instance_templates_stay_inline(self, workload):
-        from repro.core.registry import resolve
-        instance = resolve("dbuf-global")
-        request = Request(template=instance, workload=workload)
-        assert MicroBatcher(10).route_of(request) == "inline"
-
     def test_grouping_coalesces_same_key(self, workload):
-        batcher = MicroBatcher()
         reqs = [Request(template="dbuf-global", workload=workload)
                 for _ in range(3)]
         reqs.append(Request(template="dual-queue", workload=workload))
-        batches = batcher.group([(r, None) for r in reqs])
+        batches = coalesce([(r, None) for r in reqs])
         assert sorted(b.size for b in batches) == [1, 3]
+
+    def test_instance_templates_coalesce_only_with_themselves(self,
+                                                              workload):
+        from repro.core.registry import resolve
+        instance, twin = resolve("dbuf-global"), resolve("dbuf-global")
+        reqs = [Request(template=t, workload=workload)
+                for t in (instance, instance, twin)]
+        batches = coalesce([(r, None) for r in reqs])
+        assert [b.size for b in batches] == [2, 1]
+        assert batches[0].spec.template is instance
+        assert batches[1].spec.template is twin
 
 
 class TestServiceBasics:
@@ -321,13 +319,12 @@ class TestPriorityQueue:
 
 class TestSLOScheduling:
     def test_priority_separates_batch_identities(self, workload):
-        batcher = MicroBatcher()
         reqs = [
             Request(template="dbuf-global", workload=workload,
                     priority=priority)
             for priority in ("high", "high", "low")
         ]
-        batches = batcher.group([(r, None) for r in reqs])
+        batches = coalesce([(r, None) for r in reqs])
         assert sorted(b.size for b in batches) == [1, 2]
         assert {b.priority for b in batches} == {"high", "low"}
 

@@ -1,15 +1,14 @@
 """Fault injection for the serving layer.
 
-Crashing and hanging workers are monkeypatched ``run_fn``s (and, for the
-pool route, a thread-backed executor factory), so every retry/timeout/
-degradation path runs without a real child process dying — and without
-ever wedging the suite: hangs are short sleeps that outlive only the
+Crashing and hanging batches are injected ``run_fn``s that stand in for
+:func:`~repro.service.workers.execute_batch` on the service's worker
+thread, so every retry/timeout/degradation path runs without ever
+wedging the suite: hangs are short sleeps that outlive only the
 configured timeout.
 """
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,14 +16,7 @@ import pytest
 import repro
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ServiceError
-from repro.service import (
-    BatchSpec,
-    ServiceConfig,
-    TemplateService,
-    WorkerPool,
-    WorkerTimeoutError,
-    execute_batch,
-)
+from repro.service import ServiceConfig, TemplateService, execute_batch
 
 
 def make_workload(name="fault-wl", outer=800, seed=3):
@@ -131,7 +123,6 @@ class TestDegradation:
         assert response.ok and response.degraded
         # ThreadMappedTemplate's historical .name is "baseline"
         assert response.template == "baseline"
-        assert response.route == "inline"
         expected = repro.run(workload, "thread-mapped")
         assert response.time_ms == pytest.approx(expected.time_ms, rel=1e-9)
         assert stats["requests"]["degraded"] == 1
@@ -226,74 +217,6 @@ class TestTimeouts:
         )
         assert response.status == "failed"
         assert "Timeout" in response.reason
-
-
-class TestWorkerPool:
-    def test_pool_timeout_recycles(self, workload):
-        def hang(spec):
-            time.sleep(0.3)
-            return execute_batch(spec)
-
-        pool = WorkerPool(
-            max_workers=1,
-            executor_factory=lambda n: ThreadPoolExecutor(n),
-            run_fn=hang,
-        )
-        spec = BatchSpec(template="dual-queue", workload=workload,
-                         kind="nested-loop")
-
-        async def driver():
-            with pytest.raises(WorkerTimeoutError):
-                await pool.run(spec, timeout_s=0.02)
-
-        asyncio.run(driver())
-        assert pool.timeouts == 1
-        assert pool.recycles == 1
-        pool.shutdown()
-
-    def test_pool_crash_route_degrades_end_to_end(self, workload):
-        """A crashing *pool* worker triggers retry-then-degrade."""
-        def crash_dpar(spec):
-            if isinstance(spec.template, str) and \
-                    spec.template.startswith("dpar"):
-                raise RuntimeError("worker segfault (simulated)")
-            return execute_batch(spec)
-
-        pool = WorkerPool(
-            max_workers=1,
-            executor_factory=lambda n: ThreadPoolExecutor(n),
-            run_fn=crash_dpar,
-        )
-
-        async def scenario(service):
-            return await service.submit("dpar-opt", workload), \
-                service.snapshot()
-
-        response, stats = run_service(
-            scenario,
-            # everything routes to the pool; the degraded fallback
-            # deliberately runs inline (execute_batch via run_fn default)
-            ServiceConfig(inline_cost_threshold=0, **FAST_RETRY),
-            worker_pool=pool,
-        )
-        assert response.ok and response.degraded
-        assert response.route == "inline"
-        assert stats["pool"]["submitted"] == 3  # 1 try + 2 retries
-        assert stats["requests"]["degraded"] == 1
-        pool.shutdown()
-
-    def test_real_process_pool_roundtrip(self, workload):
-        """One real ProcessPoolExecutor execution through the pool route."""
-        async def scenario(service):
-            return await service.submit("dbuf-global", workload)
-
-        response = run_service(
-            scenario,
-            ServiceConfig(inline_cost_threshold=0, workers=1),
-        )
-        assert response.ok and response.route == "pool"
-        expected = repro.run(workload, "dbuf-global")
-        assert response.time_ms == pytest.approx(expected.time_ms, rel=1e-9)
 
 
 class TestStopBehaviour:
@@ -457,15 +380,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(workers=0), "workers must be >= 1"),
-            (dict(workers=-2), "workers must be >= 1"),
+            (dict(max_pending=0), "max_pending must be >= 1"),
+            (dict(max_batch=0), "max_batch must be >= 1"),
             (dict(request_timeout_s=0), "request_timeout_s must be positive"),
             (dict(request_timeout_s=-1.5),
              "request_timeout_s must be positive"),
             (dict(stats_window=0), "stats_window must be >= 1"),
-            # exact wording MicroBatcher itself uses
-            (dict(inline_cost_threshold=-1),
-             "inline_cost_threshold cannot be negative"),
+            (dict(batch_window_s=-0.001), "batch_window_s cannot be negative"),
             (dict(drain_timeout_s=0), "drain_timeout_s must be positive"),
             (dict(default_priority="urgent"), "unknown priority"),
             (dict(max_pending_per_class={"urgent": 4}), "unknown priority"),
@@ -492,10 +413,17 @@ class TestConfigValidation:
 
     def test_valid_boundary_values_accepted(self):
         config = ServiceConfig(
-            workers=1, stats_window=1, inline_cost_threshold=0,
+            max_pending=1, max_batch=1, batch_window_s=0.0, stats_window=1,
             request_timeout_s=None, drain_timeout_s=None,
             tenant_quota=1, max_pending_per_class={"low": 1},
             degrade_pending_threshold=1,
         )
-        assert config.workers == 1
+        assert config.stats_window == 1
         assert config.min_devices == config.max_devices == config.devices
+
+    @pytest.mark.parametrize("field", ["workers", "wokers"])
+    def test_unknown_field_fails_at_front_door(self, field):
+        """An unknown keyword used to escape serve() as a raw TypeError."""
+        with pytest.raises(ServiceError, match=f"unknown ServiceConfig "
+                           f"field\\(s\\): {field}; known: max_pending, "):
+            repro.serve(**{field: 2})
