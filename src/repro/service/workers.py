@@ -51,7 +51,8 @@ def _template_of(spec: BatchSpec):
 
 
 def _cache_counters(disk) -> tuple[int, int, int, int]:
-    """Plan-cache and disk-cache ``(hits, misses)`` of this process."""
+    """``(plan hits, plan misses, disk hits, disk misses)`` so far in
+    this process."""
     stats = default_cache().stats
     if disk is None:
         return stats.hits, stats.misses, 0, 0
