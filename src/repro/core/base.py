@@ -103,10 +103,10 @@ def check_schedule(schedule: dict[str, np.ndarray], outer_size: int) -> None:
 class _PreparedRun:
     """A template run with its plan resolved but execution still pending.
 
-    The single-device half of :meth:`NestedLoopTemplate.run`, split out so
-    batch entry points (:func:`run_many`, the service fusion path) can
-    resolve many plans first, execute every run-tier miss as **one** fused
-    backend pass, and only then finalize — without duplicating any of the
+    The single-device half of a template run, split out so batch entry
+    points (:func:`run_many`, the service fusion path) can resolve many
+    plans first, execute every run-tier miss as **one** fused backend
+    pass, and only then finalize — without duplicating any of the
     plan-cache / disk-cache / run-tier logic.
     """
 
@@ -204,21 +204,10 @@ class _CachedTemplate:
         graphs are shared, so treat them as read-only.  Execution results
         are themselves cached in the disk ``run`` tier — the simulator is
         deterministic — except when a timeline is requested, which needs
-        a live run.
+        a live run.  This is :func:`run_many` of one item.
         """
-        params = params or TemplateParams()
-        backend = effective_backend(
-            coerce_backend(backend, executor, config), self
-        )
-        if backend.n_devices > 1:
-            merged = run_sharded(self, workload, backend, config, params)
-            if merged is not None:
-                return merged
-            backend = backend.members[0]
-        prep = self._prepare(workload, config, params, backend)
-        if prep.result is None:
-            prep.record(backend.submit(prep.graph))
-        return prep.finish()
+        return run_many([(self, workload, params)], config,
+                        backend=backend, executor=executor)[0]
 
     def _prepare(
         self,
@@ -233,8 +222,8 @@ class _CachedTemplate:
         then the disk run tier is probed (skipped when a timeline is
         requested, which needs a live run).  The returned
         :class:`_PreparedRun` carries ``result`` when the run tier hit;
-        callers execute the graph themselves otherwise — one at a time
-        (:meth:`run`) or fused (:func:`run_many`).
+        callers execute the graph themselves otherwise (:func:`run_many`
+        fuses every miss of a batch into one pass).
         """
         key = plan_key(self, workload.fingerprint(), config, params)
         graph, schedule = self._unpack(
@@ -328,17 +317,17 @@ def run_many(
 
     ``items`` is a sequence of ``(template, workload)`` or ``(template,
     workload, params)`` tuples sharing one device config.  Every item goes
-    through the same caching ladder as :meth:`NestedLoopTemplate.run`;
-    the run-tier *misses* that land on the same single-device backend are
-    then executed as **one** fused event-loop pass via
+    through the plan tier and the disk run tier; the run-tier *misses*
+    that land on the same single-device backend are then executed as
+    **one** fused event-loop pass via
     :meth:`~repro.backends.Backend.submit_many` instead of N sequential
-    passes.  Results are bit-identical to calling ``run`` per item (fused
+    passes.  Results are bit-identical to running each item alone (fused
     lanes share only the event heap, never state) and come back in input
-    order.
+    order.  :meth:`NestedLoopTemplate.run` is this function of one item.
 
-    Items whose effective backend cannot fuse — multi-device groups (they
-    shard whole workloads) or per-item fallback backends — drop back to
-    the plain per-item ``run`` path.
+    Items on a multi-device group shard their whole workload
+    (:func:`~repro.backends.run_sharded`); when sharding does not apply,
+    they run on the group's first member like any single-device item.
     """
     base = coerce_backend(backend, executor, config)
     runs: list[TemplateRun | None] = [None] * len(items)
@@ -348,8 +337,10 @@ def run_many(
         params = (item[2] if len(item) > 2 else None) or TemplateParams()
         eff = effective_backend(base, template)
         if eff.n_devices > 1:
-            runs[idx] = template.run(workload, config, params, backend=eff)
-            continue
+            runs[idx] = run_sharded(template, workload, eff, config, params)
+            if runs[idx] is not None:
+                continue
+            eff = eff.members[0]
         prep = template._prepare(workload, config, params, eff)
         if prep.result is not None:
             runs[idx] = prep.finish()

@@ -34,6 +34,23 @@ __all__ = ["AccessStream", "NestedLoopWorkload"]
 MAX_LINEAGE = 16
 
 
+def _int_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, rejecting non-finite and fractional
+    floats up front — a bare cast would truncate ``1.5`` to ``1`` and turn
+    NaN into a NumPy warning plus garbage.  Integral floats such as
+    ``2.0`` are accepted."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        if not np.isfinite(arr).all():
+            raise WorkloadError(f"{what} must be finite (got NaN or inf)")
+        if (arr != np.trunc(arr)).any():
+            raise WorkloadError(f"{what} must be whole numbers "
+                                "(got fractional values)")
+        if (np.abs(arr) >= 2.0 ** 63).any():
+            raise WorkloadError(f"{what} exceed the int64 range")
+    return np.asarray(arr, dtype=np.int64)
+
+
 @dataclass
 class AccessStream:
     """One global-memory access performed by each inner iteration.
@@ -51,7 +68,8 @@ class AccessStream:
     staged_in_shared: bool = False
 
     def __post_init__(self) -> None:
-        self.addresses = np.asarray(self.addresses, dtype=np.int64)
+        self.addresses = _int_array(self.addresses,
+                                    f"stream {self.name!r}: addresses")
         if self.addresses.ndim != 1:
             raise WorkloadError(f"stream {self.name!r}: addresses must be 1-D")
         if self.addresses.size and self.addresses.min() < 0:
@@ -81,7 +99,7 @@ class NestedLoopWorkload:
     outer_store_bytes: int = 0
 
     def __post_init__(self) -> None:
-        self.trip_counts = np.asarray(self.trip_counts, dtype=np.int64)
+        self.trip_counts = _int_array(self.trip_counts, "trip_counts")
         if self.trip_counts.ndim != 1 or self.trip_counts.size == 0:
             raise WorkloadError("trip_counts must be a non-empty 1-D array")
         if self.trip_counts.min() < 0:
@@ -96,7 +114,8 @@ class NestedLoopWorkload:
                     f"addresses but the workload has {nnz} pairs"
                 )
         if self.atomic_targets is not None:
-            self.atomic_targets = np.asarray(self.atomic_targets, dtype=np.int64)
+            self.atomic_targets = _int_array(self.atomic_targets,
+                                             "atomic_targets")
             if self.atomic_targets.shape != (nnz,):
                 raise WorkloadError("atomic_targets must have one entry per pair")
         if (

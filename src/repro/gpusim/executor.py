@@ -285,92 +285,70 @@ class GpuExecutor:
     # ------------------------------------------------------------------- API
     def run(self, graph: LaunchGraph) -> ExecutionResult:
         """Simulate the graph; returns timing + aggregated counters."""
-        graph.validate(self.config)
-        if not graph.launches:
-            return ExecutionResult(
-                cycles=0.0, time_ms=0.0, counters=ProfileCounters(),
-                sm_busy_cycles=0.0, sm_count=self.config.sm_count,
-                n_launches=0, n_device_launches=0, pool_overflows=0,
-            )
-        has_device = any(l.is_device for l in graph.launches)
-        if has_device and not supports_dynamic_parallelism(self.config):
-            raise LaunchError(
-                f"{self.config.name} does not support dynamic parallelism"
-            )
-        engine = self.engine or _default_engine
-        sim_cls = _FastSimulation if engine == "fast" else _Simulation
-        tracing = obs.enabled()
-        # while tracing, collect launch records even when the caller did
-        # not ask for a timeline — they become per-kernel trace events
-        sim = sim_cls(self.config, graph, self.record_timeline or tracing,
-                      self.max_launch_instances)
-        if not tracing:
-            return sim.run()
-        with obs.span("gpusim.execute", engine=engine,
-                      launches=len(graph.launches)):
-            result = sim.run()
-        scans = getattr(sim, "_vector_scans", 0)
-        if scans:
-            obs.add_counter("executor.vectorized_scans", scans)
-        obs.emit_launch_records(result.records, self.config)
-        if not self.record_timeline:
-            result.records = []  # keep the no-timeline contract lean
-        return result
+        return self._execute([graph])[0]
 
     def run_many(self, graphs) -> list[ExecutionResult]:
         """Simulate N graphs (same device) in one fused event-loop pass.
 
         Results are per graph and bit-identical to N sequential
-        :meth:`run` calls: every lane keeps fully disjoint simulation
-        state; only the event heap — and therefore the Python-level loop
-        and setup overhead — is shared (see :class:`_FusedSimulation`).
-        Empty graphs yield the same zero result ``run`` returns, at their
-        original positions.
+        :meth:`run` calls: a solo run is the one-lane case of the same
+        drain (see :meth:`_execute`).
         """
-        graphs = list(graphs)
+        return self._execute(list(graphs))
+
+    def _execute(self, graphs: list[LaunchGraph]) -> list[ExecutionResult]:
+        """Simulate ``graphs`` as the lanes of one shared-heap drain.
+
+        Every lane keeps fully disjoint simulation state; only the event
+        heap — and therefore the Python-level loop and setup overhead — is
+        shared (see :func:`_drain`).  Empty graphs yield a zero result at
+        their original positions.
+        """
+        cfg = self.config
         results: list[ExecutionResult | None] = [None] * len(graphs)
         live: list[int] = []
         for i, graph in enumerate(graphs):
-            graph.validate(self.config)
+            graph.validate(cfg)
             if not graph.launches:
                 results[i] = ExecutionResult(
                     cycles=0.0, time_ms=0.0, counters=ProfileCounters(),
-                    sm_busy_cycles=0.0, sm_count=self.config.sm_count,
+                    sm_busy_cycles=0.0, sm_count=cfg.sm_count,
                     n_launches=0, n_device_launches=0, pool_overflows=0,
                 )
                 continue
             if (any(l.is_device for l in graph.launches)
-                    and not supports_dynamic_parallelism(self.config)):
+                    and not supports_dynamic_parallelism(cfg)):
                 raise LaunchError(
-                    f"{self.config.name} does not support dynamic parallelism"
+                    f"{cfg.name} does not support dynamic parallelism"
                 )
             live.append(i)
         if not live:
             return results
         engine = self.engine or _default_engine
+        sim_cls = _FastSimulation if engine == "fast" else _Simulation
         tracing = obs.enabled()
-        sim = _FusedSimulation(
-            self.config, [graphs[i] for i in live],
-            self.record_timeline or tracing, self.max_launch_instances,
-            engine,
-        )
+        events: list[tuple] = []
+        # while tracing, collect launch records even when the caller did
+        # not ask for a timeline — they become per-kernel trace events
+        sims = [sim_cls(cfg, graphs[i], self.record_timeline or tracing,
+                        self.max_launch_instances, events, lane)
+                for lane, i in enumerate(live)]
         if not tracing:
-            lane_results = sim.run()
+            lane_results = _drain(sims, events)
         else:
-            with obs.span("gpusim.execute_fused", engine=engine,
-                          graphs=len(live),
-                          launches=sum(len(graphs[i].launches)
-                                       for i in live)):
-                lane_results = sim.run()
-            obs.add_counter("executor.fused_graphs", len(live))
-            scans = sum(getattr(lane, "_vector_scans", 0)
-                        for lane in sim.lanes)
+            with obs.span("gpusim.execute", engine=engine, graphs=len(sims),
+                          launches=sum(len(sim.graph.launches)
+                                       for sim in sims)):
+                lane_results = _drain(sims, events)
+            if len(sims) > 1:
+                obs.add_counter("executor.fused_graphs", len(sims))
+            scans = sum(sim._vector_scans for sim in sims)
             if scans:
                 obs.add_counter("executor.vectorized_scans", scans)
             for result in lane_results:
-                obs.emit_launch_records(result.records, self.config)
+                obs.emit_launch_records(result.records, cfg)
                 if not self.record_timeline:
-                    result.records = []
+                    result.records = []  # keep the no-timeline contract lean
         for i, result in zip(live, lane_results):
             results[i] = result
         return results
@@ -388,11 +366,12 @@ def execute_fused(
 
     The batch-fusion front door: graphs from one scheduling window —
     *different* workloads, templates and fingerprints — are merged into
-    one event-loop drain and demuxed back into exact per-graph
-    :class:`ExecutionResult` objects, bit-identical to running each graph
-    through :meth:`GpuExecutor.run` on its own.  Used by
-    :meth:`~repro.backends.sim.SimBackend.submit_many` and, through it,
-    the serving tier's window fusion (see docs/performance.md).
+    one event-loop drain, one lane per graph, and demuxed back into exact
+    per-graph :class:`ExecutionResult` objects, bit-identical to running
+    each graph through :meth:`GpuExecutor.run` (a drain of one lane).
+    Used by :meth:`~repro.backends.sim.SimBackend.submit_many` and,
+    through it, the serving tier's window fusion (see
+    docs/performance.md).
     """
     executor = GpuExecutor(
         config, record_timeline=record_timeline,
@@ -402,8 +381,9 @@ def execute_fused(
 
 
 class _Simulation:
-    """One executor run (separate from GpuExecutor so the executor object
-    stays reusable and stateless between runs).
+    """One graph's simulation: a lane of an executor drain (separate from
+    GpuExecutor so the executor object stays reusable and stateless
+    between runs).
 
     This is the **exact** reference engine: one heap entry per dispatched
     block.  The fast engine (:class:`_FastSimulation`) subclasses it and
@@ -412,6 +392,9 @@ class _Simulation:
 
     #: SM implementation instantiated per simulated multiprocessor
     sm_class = _SM
+    #: vectorized slot-partition placements this run (obs counter
+    #: ``executor.vectorized_scans`` when tracing; fast engine only)
+    _vector_scans = 0
 
     def __init__(
         self,
@@ -419,6 +402,8 @@ class _Simulation:
         graph: LaunchGraph,
         record_timeline: bool,
         max_instances: int,
+        events: list[tuple],
+        lane: int,
     ) -> None:
         self.config = config
         self.graph = graph
@@ -426,7 +411,12 @@ class _Simulation:
         self.max_instances = max_instances
 
         self.now = 0.0
-        self.events: list[tuple[float, int, str, object]] = []
+        #: the drain's shared heap of ``(time, seq, lane, kind, payload)``
+        self.events = events
+        self.lane = lane
+        #: tie-break counter for this lane's event pushes and its SMs'
+        #: serving heaps — lane-local, so a lane orders its events exactly
+        #: as a solo run does
         self._seq = 0
         self.sms = [self.sm_class(i, config) for i in range(config.sm_count)]
         self.records: list[LaunchRecord] = []
@@ -443,11 +433,12 @@ class _Simulation:
         self.pool_overflows = 0
         self.device_stream_tail: dict[tuple[int, int, int], _LaunchState | None] = {}
         self.device_stream_queue: dict[tuple[int, int, int], list[_LaunchState]] = {}
+        self._host_queues: dict[int, list[_LaunchState]] = {}
 
         self.ready_list: list[_LaunchState] = []
         #: cleared by engines that can prove a dispatch pass would place
         #: nothing (the fast engine); the reference engine leaves it True
-        #: so the shared event loop's inlined guard never skips it
+        #: so the event loop's inlined guard never skips it
         self._dispatch_dirty = True
         self.n_device_instances = 0
         self._footprints: dict[int, _Footprint] = {}
@@ -471,7 +462,8 @@ class _Simulation:
 
     def _push_event(self, time: float, kind: str, payload: object) -> None:
         self._seq += 1
-        heapq.heappush(self.events, (time, self._seq, kind, payload))
+        heapq.heappush(self.events,
+                       (time, self._seq, self.lane, kind, payload))
 
     def _new_instance(self, spec: Launch, graph_index: int, replica: int) -> _LaunchState:
         if len(self.instances) >= self.max_instances:
@@ -510,21 +502,8 @@ class _Simulation:
             self._push_event(ready_hint, "host_ready", state)
 
     # ------------------------------------------------------------------- run
-    def run(self) -> ExecutionResult:
-        self._begin()
-        events = self.events
-        while events:
-            time, _, kind, payload = heapq.heappop(events)
-            self._handle(time, kind, payload)
-        return self._finalize()
-
-    # The run loop is split into begin/handle/finalize so a fused run
-    # (:class:`_FusedSimulation`) can drive many independent simulations
-    # off one shared event heap without duplicating the event semantics.
-    def _begin(self) -> None:
-        self._host_queues: dict[int, list[_LaunchState]] = {}
-        self._setup()
-
+    # :func:`_drain` calls _setup, then _handle per popped event, then
+    # _finalize.
     def _handle(self, time: float, kind: str, payload: object) -> None:
         self.now = max(self.now, time)
         if kind == "host_ready":
@@ -861,20 +840,6 @@ class _FastSimulation(_Simulation):
     """
 
     sm_class = _FastSM
-
-    def __init__(
-        self,
-        config: DeviceConfig,
-        graph: LaunchGraph,
-        record_timeline: bool,
-        max_instances: int,
-    ) -> None:
-        super().__init__(config, graph, record_timeline, max_instances)
-        self._dispatch_dirty = True
-        self._parent_gis: set[int] = set()
-        #: vectorized slot-partition placements this run (obs counter
-        #: ``executor.vectorized_scans`` when tracing)
-        self._vector_scans = 0
 
     def _setup(self) -> None:
         super()._setup()
@@ -1296,73 +1261,22 @@ class _FastSimulation(_Simulation):
         return progress
 
 
-# --------------------------------------------------------------------------
-# Fused heterogeneous batches: N graphs, one event loop
-# --------------------------------------------------------------------------
+def _drain(sims: list[_Simulation], events: list[tuple]) -> list[ExecutionResult]:
+    """Run lane simulations to completion off their one shared event heap.
 
-
-class _FusedLaneMixin:
-    """Lane of a fused run: all simulation state stays lane-local except
-    the event heap, which lives on the owning :class:`_FusedSimulation`
-    (with a shared sequence counter so same-time events across lanes pop
-    in push order).  Per-lane relative event order — the only thing the
-    simulation's results depend on — is identical to a standalone run,
-    which is what makes fused results bit-exact."""
-
-    _fused_owner: "_FusedSimulation"
-    _lane_index: int
-
-    def _push_event(self, time: float, kind: str, payload: object) -> None:
-        owner = self._fused_owner
-        owner._seq += 1
-        heapq.heappush(owner.events,
-                       (time, owner._seq, self._lane_index, kind, payload))
-
-
-class _FusedExactLane(_FusedLaneMixin, _Simulation):
-    pass
-
-
-class _FusedFastLane(_FusedLaneMixin, _FastSimulation):
-    pass
-
-
-class _FusedSimulation:
-    """N independent lane simulations draining one shared event heap.
-
-    Lanes keep fully disjoint state — SMs, GMU, clocks, stream queues,
-    instances — so fusing changes *which* Python loop pops the events,
-    never what any lane computes; results demux per graph bit-identically
-    to sequential runs (``tests/test_executor_fused.py``).  The win is
-    amortization: one heap drain, one tracing span and one Python-level
-    interpreter loop for a whole scheduling window instead of one per
-    graph.
+    Each lane pushes ``(time, seq, lane, kind, payload)`` with its own
+    ``seq`` counter, so its events pop in the same relative order as in a
+    solo run — the only order its results depend on — and entries of
+    different lanes that tie on ``(time, seq)`` break on the lane index,
+    so the interleaving is deterministic too.  Fusing N graphs therefore
+    changes which loop pops the events, never what any lane computes
+    (``tests/test_executor_fused.py``).
     """
-
-    def __init__(
-        self,
-        config: DeviceConfig,
-        graphs: list[LaunchGraph],
-        record_timeline: bool,
-        max_instances: int,
-        engine: str,
-    ) -> None:
-        lane_cls = _FusedFastLane if engine == "fast" else _FusedExactLane
-        self.events: list[tuple] = []
-        self._seq = 0
-        self.lanes = []
-        for i, graph in enumerate(graphs):
-            lane = lane_cls(config, graph, record_timeline, max_instances)
-            lane._fused_owner = self
-            lane._lane_index = i
-            self.lanes.append(lane)
-
-    def run(self) -> list[ExecutionResult]:
-        lanes = self.lanes
-        for lane in lanes:
-            lane._begin()
-        events = self.events
-        while events:
-            time, _, lane_index, kind, payload = heapq.heappop(events)
-            lanes[lane_index]._handle(time, kind, payload)
-        return [lane._finalize() for lane in lanes]
+    for sim in sims:
+        sim._setup()
+    handlers = [sim._handle for sim in sims]
+    pop = heapq.heappop
+    while events:
+        time, _, lane, kind, payload = pop(events)
+        handlers[lane](time, kind, payload)
+    return [sim._finalize() for sim in sims]

@@ -1,10 +1,13 @@
 """Unit + property tests for the nested-loop parallelization templates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import (
     LOAD_BALANCING_TEMPLATES,
     NESTED_LOOP_TEMPLATES,
@@ -50,9 +53,40 @@ class TestWorkloadValidation:
         with pytest.raises(WorkloadError):
             NestedLoopWorkload("w", np.array([], dtype=np.int64))
 
-    def test_rejects_negative_trips(self):
-        with pytest.raises(WorkloadError):
-            NestedLoopWorkload("w", np.array([-1]))
+    @pytest.mark.parametrize("trips, match", [
+        ([-1], "negative"),
+        ([1.5, 2.0], "whole numbers"),
+        ([1.0, np.nan], "finite"),
+        ([1.0, np.inf], "finite"),
+        ([1.0, -np.inf], "finite"),
+    ], ids=["negative", "fractional", "nan", "inf", "neg-inf"])
+    def test_rejects_negative_trips(self, trips, match):
+        """Bad trip counts fail with a message naming the problem, before
+        any cast could truncate them or leak a NumPy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WorkloadError, match=match):
+                NestedLoopWorkload("w", np.array(trips))
+
+    def test_accepts_integral_float_trips(self):
+        wl = NestedLoopWorkload("w", np.array([2.0, 0.0, 3.0]))
+        assert wl.trip_counts.dtype == np.int64
+        assert wl.trip_counts.tolist() == [2, 0, 3]
+
+    @pytest.mark.parametrize("field", ["addresses", "atomic_targets"])
+    def test_rejects_fractional_pair_arrays(self, field):
+        values = np.array([0.0, 4.5])
+        with pytest.raises(WorkloadError, match="whole numbers"):
+            if field == "addresses":
+                AccessStream("s", values)
+            else:
+                NestedLoopWorkload("w", np.array([2]), atomic_targets=values)
+
+    def test_front_door_rejects_nan_trips_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WorkloadError, match="finite"):
+                repro.run(NestedLoopWorkload("w", [1.0, np.nan]))
 
     def test_rejects_stream_length_mismatch(self):
         with pytest.raises(WorkloadError):

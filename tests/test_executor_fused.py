@@ -8,6 +8,8 @@ template (including dynamic-parallelism graphs), batch sizes down to 1,
 and both the serial and vectorized placement paths.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.core.base import run_many
 from repro.core.registry import ALL_TEMPLATES, resolve
 from repro.gpusim import KEPLER_K20, GpuExecutor, execute_fused
 from repro.gpusim import executor as executor_mod
+from repro.gpusim.executor import LaunchRecord
 from repro.gpusim.kernels import LaunchGraph
 from repro.service import ServiceConfig, TemplateService
 from repro.trees.generator import generate_tree
@@ -92,20 +95,30 @@ def assert_result_equal(fused, sequential, label=""):
     assert fused.n_device_launches == sequential.n_device_launches, label
     assert fused.pool_overflows == sequential.pool_overflows, label
     assert fused.counters == sequential.counters, label
+    # launch timelines stay per lane: same launches, same order, same times
+    assert len(fused.records) == len(sequential.records), label
+    for got, want in zip(fused.records, sequential.records):
+        for f in dataclasses.fields(LaunchRecord):
+            assert getattr(got, f.name) == getattr(want, f.name), (label, f.name)
 
 
 class TestExecuteFused:
     @pytest.mark.parametrize("engine", ["fast", "exact"])
     def test_mixed_batch_matches_sequential(self, all_graphs, engine):
-        """Every template's graph fused together == run one at a time."""
-        executor = GpuExecutor(KEPLER_K20, engine=engine)
+        """Every template's graph fused together == run one at a time,
+        launch timelines included when they are recorded."""
         keys = sorted(all_graphs)
         if engine == "exact":  # exact engine is slow; a cross-section is enough
             keys = keys[::4]
         graphs = [all_graphs[k] for k in keys]
-        fused = execute_fused(graphs, KEPLER_K20, engine=engine)
-        for key, graph, got in zip(keys, graphs, fused):
-            assert_result_equal(got, executor.run(graph), key)
+        for record_timeline in (False, True):
+            executor = GpuExecutor(KEPLER_K20, engine=engine,
+                                   record_timeline=record_timeline)
+            fused = execute_fused(graphs, KEPLER_K20, engine=engine,
+                                  record_timeline=record_timeline)
+            for key, graph, got in zip(keys, graphs, fused):
+                assert_result_equal(got, executor.run(graph), key)
+            assert any(r.records for r in fused) == record_timeline
 
     @pytest.mark.parametrize("name", NESTED_NAMES + TREE_NAMES)
     def test_singleton_batch_matches_run(self, all_graphs, name):

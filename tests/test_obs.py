@@ -142,6 +142,8 @@ class TestInstrumentation:
         assert s["wall_ms"]["plan.cache_hit"]["count"] == 1
         assert s["wall_ms"]["gpusim.execute"]["count"] == 2
         assert s["wall_ms"]["gpusim.profile"]["count"] == 2
+        # a solo run is a one-lane drain: nothing was fused
+        assert "executor.fused_graphs" not in s["counters"]
         assert s["counters"]["plan_cache.hits"] == 1
         assert s["counters"]["plan_cache.misses"] == 1
         # per-kernel events landed on the simulated track
