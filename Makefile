@@ -15,7 +15,7 @@ test: lint bench-smoke trace-smoke cache-smoke multidevice-smoke ir-smoke queue-
 # ruff when installed, stdlib fallback (syntax, unused imports, debug
 # leftovers) otherwise — style regressions fail alongside tier-1 tests
 lint:
-	$(PYTHON) tools/lint.py src tests benchmarks tools examples
+	$(PYTHON) tools/lint.py src tests benchmarks tools examples perfbench
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -294,7 +294,6 @@ class RecursiveBFSApp:
         g = self.graph
         forest = self._forest
         cfg = config
-        launch_index = np.full(forest.n_visits, -1, dtype=np.int64)
 
         degs = g.out_degrees[forest.node]
         resident = resident_warps_estimate(
@@ -338,40 +337,38 @@ class RecursiveBFSApp:
         counters.atomic.n_atomics = int(degs.sum())
         counters.atomic.max_address_multiplicity = 1
 
-        children_of: dict[int, list[int]] = {}
-        for k, p in enumerate(forest.parent.tolist()):
-            if p >= 0:
-                children_of.setdefault(p, []).append(k)
+        # every visit's block cells in one flat array, cut per launch
+        n_cells = np.ones(forest.n_visits, dtype=np.int64)
+        if hierarchical:
+            # One launch per visit, but organized hierarchically: the
+            # first block probes this visit's neighborhood; one cheap
+            # block per improved child marshals that child's nested
+            # launch.  Probing is charged exactly once per visit (as in
+            # naive) — the hierarchical advantage is that nested launches
+            # issue from distinct blocks, i.e. distinct NULL streams, so
+            # siblings run concurrently without extra streams (the
+            # paper's §III.C observation).
+            n_cells += forest.children_count
+            ends = np.cumsum(n_cells)
+            cells = np.full(int(ends[-1]), 150.0 + cfg.device_launch_issue_cycles)
+            cells[ends - n_cells] = visit_cycles
+            bsizes = [64] * forest.n_visits
+        else:
+            ends = np.cumsum(n_cells)
+            cells = visit_cycles + issue_cycles
+            bsizes = np.clip(degs, 32, 1024).tolist()
+        wpb_here = -(-np.asarray(bsizes, dtype=np.int64) // cfg.warp_size)
+        floor_scale = np.maximum(cfg.warp_throughput_per_cycle / wpb_here, 1.0)
+        costs_of = KernelCosts.split(
+            cells, cells * np.repeat(floor_scale, n_cells), ends
+        )
 
-        floor_scale = cfg.warp_throughput_per_cycle
+        resident = float(resident)
         first = True
-        for v in range(forest.n_visits):
-            kids = children_of.get(v, [])
-            if hierarchical:
-                # One launch per visit, but organized hierarchically: the
-                # first block probes this visit's neighborhood; one cheap
-                # block per improved child marshals that child's nested
-                # launch.  Probing is charged exactly once per visit (as
-                # in naive) — the hierarchical advantage is that nested
-                # launches issue from distinct blocks, i.e. distinct NULL
-                # streams, so siblings run concurrently without extra
-                # streams (the paper's §III.C observation).
-                cells = [visit_cycles[v]]
-                cells.extend(
-                    150.0 + cfg.device_launch_issue_cycles for _ in kids
-                )
-                block_cycles = np.array(cells)
-                bsize = 64
-            else:
-                block_cycles = np.array([visit_cycles[v] + issue_cycles[v]])
-                bsize = min(max(int(degs[v]), 32), 1024)
-            wpb_here = -(-bsize // cfg.warp_size)
-            costs = KernelCosts(
-                block_cycles=np.asarray(block_cycles, dtype=np.float64),
-                block_floor=np.asarray(block_cycles, dtype=np.float64)
-                * max(floor_scale / wpb_here, 1.0),
-            )
-            parent_visit = int(forest.parent[v])
+        # launch v is visit v: a visit's parent visit precedes it
+        for parent_visit, rank, bsize, costs in zip(
+            forest.parent.tolist(), sibling_rank.tolist(), bsizes, costs_of,
+        ):
             if parent_visit < 0:
                 counters.host_launches += 1
                 launch = Launch(
@@ -379,11 +376,10 @@ class RecursiveBFSApp:
                     block_size=bsize,
                     costs=costs,
                     counters=counters if first else ProfileCounters(),
-                    resident_warps_hint=float(resident),
+                    resident_warps_hint=resident,
                 )
             else:
                 counters.device_launches += 1
-                rank = int(sibling_rank[v])
                 if hierarchical:
                     # issued by this child's marshalling block (block 0 is
                     # the parent's probe block): distinct per-block NULL
@@ -397,13 +393,13 @@ class RecursiveBFSApp:
                     name="bfs-rec",
                     block_size=bsize,
                     costs=costs,
-                    parent=int(launch_index[parent_visit]),
-                    parent_block=int(pblock),
+                    parent=parent_visit,
+                    parent_block=pblock,
                     device_stream=stream,
                     counters=ProfileCounters(),
-                    resident_warps_hint=float(resident),
+                    resident_warps_hint=resident,
                 )
-            launch_index[v] = graph.add(launch)
+            graph.add(launch)
             first = False
         return graph
 

@@ -281,34 +281,35 @@ class RecNaiveTreeTemplate(_TreeTemplateBase):
         counters.host_launches = 1
 
         # launches level by level so parents exist before children
+        costs_of = KernelCosts.split(
+            block_cycles, block_cycles * floor_scale,
+            np.arange(1, internal.size + 1),
+        )
         launch_of_node: dict[int, int] = {}
-        sibling_rank = analysis.sibling_rank
-        idx_of_internal = {int(v): k for k, v in enumerate(internal.tolist())}
-        for node in internal.tolist():
-            k = idx_of_internal[node]
-            costs = KernelCosts(
-                block_cycles=np.array([block_cycles[k]]),
-                block_floor=np.array([block_cycles[k] * floor_scale[k]]),
-            )
-            parent_node = int(tree.parents[node])
+        resident = float(resident)
+        name = f"{workload.name}/rec-naive"
+        for node, parent_node, rank, deg, costs in zip(
+            internal.tolist(), tree.parents[internal].tolist(),
+            analysis.sibling_rank[internal].tolist(), d.tolist(), costs_of,
+        ):
             if parent_node < 0:
                 launch = Launch(
-                    name=f"{workload.name}/rec-naive",
-                    block_size=min(int(d[k]) if d[k] > 0 else 1, 1024),
+                    name=name,
+                    block_size=min(deg if deg > 0 else 1, 1024),
                     costs=costs,
                     counters=counters if node == 0 else ProfileCounters(),
-                    resident_warps_hint=float(resident),
+                    resident_warps_hint=resident,
                 )
             else:
                 launch = Launch(
-                    name=f"{workload.name}/rec-naive",
-                    block_size=min(max(int(d[k]), 1), 1024),
+                    name=name,
+                    block_size=min(max(deg, 1), 1024),
                     costs=costs,
                     parent=launch_of_node[parent_node],
                     parent_block=0,
-                    device_stream=int(sibling_rank[node]) % params.streams_per_block,
+                    device_stream=rank % params.streams_per_block,
                     counters=ProfileCounters(),
-                    resident_warps_hint=float(resident),
+                    resident_warps_hint=resident,
                 )
             launch_of_node[node] = graph.add(launch)
         return graph

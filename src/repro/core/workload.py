@@ -51,6 +51,26 @@ def _int_array(values, what: str) -> np.ndarray:
     return np.asarray(arr, dtype=np.int64)
 
 
+def _trip_counts(values) -> np.ndarray:
+    """``values`` as checked trip counts: a non-empty 1-D int64 array
+    with no negative entry (the array itself when it already is one, so
+    in-place edits stay in place)."""
+    trips = _int_array(values, "trip_counts")
+    if trips.ndim != 1 or trips.size == 0:
+        raise WorkloadError("trip_counts must be a non-empty 1-D array")
+    if trips.min() < 0:
+        raise WorkloadError("trip counts cannot be negative")
+    return trips
+
+
+def _pair_offsets(trips: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum of ``trips``: row ``i`` owns pairs
+    ``[offsets[i], offsets[i + 1])``."""
+    offsets = np.zeros(trips.size + 1, dtype=np.int64)
+    np.cumsum(trips, out=offsets[1:])
+    return offsets
+
+
 @dataclass
 class AccessStream:
     """One global-memory access performed by each inner iteration.
@@ -99,13 +119,8 @@ class NestedLoopWorkload:
     outer_store_bytes: int = 0
 
     def __post_init__(self) -> None:
-        self.trip_counts = _int_array(self.trip_counts, "trip_counts")
-        if self.trip_counts.ndim != 1 or self.trip_counts.size == 0:
-            raise WorkloadError("trip_counts must be a non-empty 1-D array")
-        if self.trip_counts.min() < 0:
-            raise WorkloadError("trip counts cannot be negative")
-        self.pair_offsets = np.zeros(self.trip_counts.size + 1, dtype=np.int64)
-        np.cumsum(self.trip_counts, out=self.pair_offsets[1:])
+        self.trip_counts = _trip_counts(self.trip_counts)
+        self.pair_offsets = _pair_offsets(self.trip_counts)
         nnz = self.n_pairs
         for stream in self.streams:
             if stream.addresses.size != nnz:
@@ -211,12 +226,13 @@ class NestedLoopWorkload:
         previously left stale, so row slices pointed at pre-edit pair
         ranges), the version bumps, and the mutation lineage clears — an
         untracked edit has no delta, so no incremental analysis may bridge
-        it.  Prefer :meth:`apply_mutations`/:meth:`mutated`, which keep
-        the delta.
+        it.  The edited trip counts pass the same check as at
+        construction before anything is derived from them.  Prefer
+        :meth:`apply_mutations`/:meth:`mutated`, which keep the delta.
         """
         self._fingerprint = None
-        self.pair_offsets = np.zeros(self.trip_counts.size + 1, dtype=np.int64)
-        np.cumsum(self.trip_counts, out=self.pair_offsets[1:])
+        self.trip_counts = _trip_counts(self.trip_counts)
+        self.pair_offsets = _pair_offsets(self.trip_counts)
         nnz = self.n_pairs
         for stream in self.streams:
             if stream.addresses.size != nnz:
@@ -249,8 +265,7 @@ class NestedLoopWorkload:
 
         state, delta = apply_batch(self, batch)
         self.trip_counts = state.trip_counts
-        self.pair_offsets = np.zeros(self.trip_counts.size + 1, dtype=np.int64)
-        np.cumsum(self.trip_counts, out=self.pair_offsets[1:])
+        self.pair_offsets = _pair_offsets(self.trip_counts)
         for stream, addresses in zip(self.streams, state.stream_addresses):
             stream.addresses = addresses
         self.atomic_targets = state.atomic_targets

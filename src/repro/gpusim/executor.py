@@ -441,11 +441,22 @@ class _Simulation:
         #: so the event loop's inlined guard never skips it
         self._dispatch_dirty = True
         self.n_device_instances = 0
-        self._footprints: dict[int, _Footprint] = {}
+        #: footprints by launch shape ``(block_size, registers_per_thread,
+        #: shared_mem_per_block)`` — recursive templates launch one tiny
+        #: kernel per node, but of far fewer distinct shapes
+        self._footprints: dict[tuple[int, int, int], _Footprint] = {}
+        # launch timing constants in SM-cycles, converted once per run
+        self._host_overhead = config.us_to_cycles(config.host_launch_overhead_us)
+        self._launch_latency = config.us_to_cycles(config.device_launch_latency_us)
+        # GMU service: launches per microsecond -> cycles per launch
+        self._gmu_service = config.us_to_cycles(
+            1.0 / config.device_launch_throughput_per_us)
 
     # ----------------------------------------------------------------- setup
-    def _footprint(self, spec: Launch, graph_index: int) -> _Footprint:
-        fp = self._footprints.get(graph_index)
+    def _footprint(self, spec: Launch) -> _Footprint:
+        shape = (spec.block_size, spec.registers_per_thread,
+                 spec.shared_mem_per_block)
+        fp = self._footprints.get(shape)
         if fp is None:
             cfg = self.config
             occ = occupancy(cfg, spec.block_size, spec.registers_per_thread,
@@ -457,7 +468,7 @@ class _Simulation:
             if smem:
                 smem = -(-smem // cfg.shared_mem_alloc_granularity) * cfg.shared_mem_alloc_granularity
             fp = _Footprint(warps=wpb, smem=smem, regs=regs)
-            self._footprints[graph_index] = fp
+            self._footprints[shape] = fp
         return fp
 
     def _push_event(self, time: float, kind: str, payload: object) -> None:
@@ -471,13 +482,12 @@ class _Simulation:
                 f"launch-instance limit {self.max_instances} exceeded — "
                 "runaway dynamic parallelism?"
             )
-        state = _LaunchState(spec, graph_index, replica, self._footprint(spec, graph_index))
+        state = _LaunchState(spec, graph_index, replica, self._footprint(spec))
         state.serial = len(self.instances)
         self.instances.append(state)
         return state
 
     def _setup(self) -> None:
-        host_overhead = self.config.us_to_cycles(self.config.host_launch_overhead_us)
         # Build instances for host launches immediately; device launches are
         # instantiated per replica and wait for their parent block.
         for gi, spec in enumerate(self.graph.launches):
@@ -488,7 +498,7 @@ class _Simulation:
                 # The first launch of each stream becomes ready after the
                 # host launch overhead; successors are released when their
                 # predecessor's launch tree completes.
-                self._chain_host(state, host_overhead)
+                self._chain_host(state, self._host_overhead)
             else:
                 self.children_of.setdefault((spec.parent, spec.parent_block), []).append(gi)
 
@@ -506,16 +516,18 @@ class _Simulation:
     # _finalize.
     def _handle(self, time: float, kind: str, payload: object) -> None:
         self.now = max(self.now, time)
-        if kind == "host_ready":
-            self._on_ready(payload)  # type: ignore[arg-type]
-        elif kind == "gmu_done":
-            self._on_gmu_done(payload)  # type: ignore[arg-type]
-        elif kind == "sm_check":
+        # branches ordered by event frequency: SM checks dominate, then
+        # lingers and GMU completions (one per nested launch)
+        if kind == "sm_check":
             sm, version = payload  # type: ignore[misc]
             if sm.version == version:
                 self._service_sm(sm)
         elif kind == "linger_done":
             self._on_linger(payload)
+        elif kind == "gmu_done":
+            self._on_gmu_done(payload)  # type: ignore[arg-type]
+        elif kind == "host_ready":
+            self._on_ready(payload)  # type: ignore[arg-type]
         elif kind == "tail_done":
             state = payload  # type: ignore[assignment]
             state.tail_elapsed = True
@@ -560,10 +572,9 @@ class _Simulation:
         child_graph_ids = self.children_of.get(key)
         if not child_graph_ids:
             return
-        cfg = self.config
-        latency = cfg.us_to_cycles(cfg.device_launch_latency_us)
-        # GMU service: launches per microsecond -> cycles per launch
-        service = cfg.us_to_cycles(1.0 / cfg.device_launch_throughput_per_us)
+        limit = self.config.pending_launch_limit
+        latency = self._launch_latency
+        service = self._gmu_service
         for gi in child_graph_ids:
             spec = self.graph.launches[gi]
             for replica in range(spec.count):
@@ -576,7 +587,7 @@ class _Simulation:
                 # GMU single-server FIFO
                 self.gmu_pending += 1
                 penalty = 1.0
-                if self.gmu_pending > cfg.pending_launch_limit:
+                if self.gmu_pending > limit:
                     penalty = 10.0
                     self.pool_overflows += 1
                 start_service = max(self.now, self.gmu_free)
@@ -680,8 +691,8 @@ class _Simulation:
             if queue and queue[0] is state:
                 queue.pop(0)
                 if queue:
-                    overhead = self.config.us_to_cycles(self.config.host_launch_overhead_us)
-                    self._push_event(self.now + overhead, "host_ready", queue[0])
+                    self._push_event(self.now + self._host_overhead,
+                                     "host_ready", queue[0])
 
     # -------------------------------------------------------------- dispatch
     def _dispatch(self) -> bool:
@@ -827,8 +838,8 @@ class _FastSimulation(_Simulation):
       linger event instead of one entry per block;
     * dispatch passes are skipped entirely unless something changed since
       the last blocked attempt (resources freed or a launch became ready);
-    * per-block work/floor values come from cached Python lists
-      (:meth:`KernelCosts.block_lists`) instead of NumPy scalar reads.
+    * per-block work/floor values come from the cached run-length lists
+      (:meth:`KernelCosts.block_runs`) instead of NumPy scalar reads.
 
     Cohort retirement follows the exact engine's event ordering: service
     completions retire the whole batch inside one event (the exact engine

@@ -10,6 +10,7 @@ are what templates hand to :class:`repro.gpusim.executor.GpuExecutor`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,44 @@ class ProfileCounters:
         return self.host_launches + self.device_launches
 
 
+def _check_costs(block_cycles: np.ndarray, block_floor: np.ndarray,
+                 serial_tail: float) -> None:
+    """The one validity check of kernel costs: every value finite and
+    non-negative (a NaN or inf block would never retire, or retire at
+    inf).  Shared by :class:`KernelCosts` and :meth:`KernelCosts.split`."""
+    for what, values in (("block cycles", block_cycles),
+                         ("block floors", block_floor)):
+        # NaN fails the min test: comparisons with NaN are False
+        if values.size and not (values.min() >= 0.0
+                                and values.max() < math.inf):
+            bad = values[~((values >= 0.0) & (values < math.inf))][0]
+            raise WorkloadError(
+                f"{what} must be finite and non-negative, got {bad!r}"
+            )
+    if not 0.0 <= serial_tail < math.inf:
+        raise WorkloadError(
+            f"serial_tail must be finite and non-negative, got {serial_tail!r}"
+        )
+
+
+def _run_bounds(work: np.ndarray, floor: np.ndarray,
+                piece_starts: np.ndarray | int = 0,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of the maximal runs of equal ``(work, floor)``
+    over non-empty flat arrays cut into pieces at ``piece_starts`` (which
+    must include 0); a run never crosses a piece boundary."""
+    n = work.shape[0]
+    change = np.empty(n, dtype=bool)
+    np.not_equal(work[1:], work[:-1], out=change[1:])
+    change[1:] |= floor[1:] != floor[:-1]
+    change[piece_starts] = True
+    starts = np.flatnonzero(change)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = n
+    return starts, ends
+
+
 @dataclass
 class KernelCosts:
     """Per-block work of one kernel, in SM-cycles.
@@ -74,7 +113,8 @@ class KernelCosts:
     whichever SM it lands on; ``block_floor[b]`` is the duration the block
     cannot beat even on an idle SM (its critical warp).  ``serial_tail``
     models kernel-wide serialization (e.g. a globally hot atomic address)
-    appended after the last block retires.
+    appended after the last block retires.  Every value must be finite
+    and non-negative.
     """
 
     block_cycles: np.ndarray
@@ -85,18 +125,62 @@ class KernelCosts:
         self.block_cycles = np.asarray(self.block_cycles, dtype=np.float64)
         if self.block_cycles.ndim != 1:
             raise WorkloadError("block_cycles must be a 1-D array")
-        if np.any(self.block_cycles < 0):
-            raise WorkloadError("block cycles cannot be negative")
         if self.block_floor is None:
             self.block_floor = np.zeros_like(self.block_cycles)
         else:
             self.block_floor = np.asarray(self.block_floor, dtype=np.float64)
             if self.block_floor.shape != self.block_cycles.shape:
                 raise WorkloadError("block_floor must match block_cycles shape")
-            if np.any(self.block_floor < 0):
-                raise WorkloadError("block floors cannot be negative")
-        if self.serial_tail < 0:
-            raise WorkloadError("serial_tail cannot be negative")
+        _check_costs(self.block_cycles, self.block_floor, self.serial_tail)
+
+    @classmethod
+    def split(cls, block_cycles, block_floor, ends) -> list["KernelCosts"]:
+        """Cut flat per-block arrays into the costs of many launches.
+
+        Launch ``i`` owns blocks ``[ends[i-1], ends[i])`` (0 for the
+        first) of ``block_cycles`` / ``block_floor``.  The arrays are
+        validated once and each launch gets views into them plus its
+        run-length encoding from one vectorized pass, so a launch costs
+        O(1) Python work instead of a construction's NumPy reductions —
+        what lets launch graphs with one tiny launch per visited node
+        (recursive templates) build in bulk.  ``serial_tail`` is 0.0.
+        The launches' arrays are views of the flat ones: treat both as
+        read-only.
+        """
+        cycles = np.asarray(block_cycles, dtype=np.float64)
+        floor = np.asarray(block_floor, dtype=np.float64)
+        ends = np.asarray(ends, dtype=np.int64)
+        if cycles.ndim != 1 or floor.shape != cycles.shape:
+            raise WorkloadError(
+                "block_cycles and block_floor must be 1-D arrays of one shape"
+            )
+        if ends.ndim != 1 or ends.size == 0 or ends[-1] != cycles.shape[0]:
+            raise WorkloadError("ends must be 1-D and end at the array length")
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1]
+        if np.any(ends <= starts):
+            raise WorkloadError("every launch needs at least one block")
+        _check_costs(cycles, floor, 0.0)
+        run_starts, run_ends = _run_bounds(cycles, floor, starts)
+        # runs never cross a launch start, so each run's launch is the one
+        # its first block lies in
+        run_launch = np.searchsorted(ends, run_starts, side="right")
+        local_ends = (run_ends - starts[run_launch]).tolist()
+        works = cycles[run_starts].tolist()
+        floors = floor[run_starts].tolist()
+        first_run = np.searchsorted(run_launch, np.arange(ends.size + 1)).tolist()
+        out = []
+        new = object.__new__
+        for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+            costs = new(cls)
+            costs.block_cycles = cycles[a:b]
+            costs.block_floor = floor[a:b]
+            costs.serial_tail = 0.0
+            r0, r1 = first_run[i], first_run[i + 1]
+            costs._block_runs = (local_ends[r0:r1], works[r0:r1], floors[r0:r1])
+            out.append(costs)
+        return out
 
     @property
     def n_blocks(self) -> int:
@@ -107,20 +191,6 @@ class KernelCosts:
     def total_cycles(self) -> float:
         """Total SM-cycles of work in the grid."""
         return float(self.block_cycles.sum())
-
-    def block_lists(self) -> tuple[list[float], list[float]]:
-        """``(work, floor)`` per block as plain Python lists, cached.
-
-        The executor's dispatch loop touches every block exactly once; list
-        indexing avoids a NumPy scalar box per block, and the fast engine
-        uses value equality on these entries to batch homogeneous blocks
-        into cohort events.  Treat the returned lists as read-only.
-        """
-        cached = getattr(self, "_block_lists", None)
-        if cached is None:
-            cached = (self.block_cycles.tolist(), self.block_floor.tolist())
-            object.__setattr__(self, "_block_lists", cached)
-        return cached
 
     def block_runs(self) -> tuple[list[int], list[float], list[float]]:
         """Run-length encoding of ``(work, floor)`` over the block array.
@@ -135,20 +205,11 @@ class KernelCosts:
         cached = getattr(self, "_block_runs", None)
         if cached is None:
             w, f = self.block_cycles, self.block_floor
-            n = w.shape[0]
-            if n == 0:
+            if w.shape[0] == 0:
                 cached = ([], [], [])
-                object.__setattr__(self, "_block_runs", cached)
-                return cached
-            change = np.empty(n, dtype=bool)
-            change[0] = True
-            np.not_equal(w[1:], w[:-1], out=change[1:])
-            change[1:] |= f[1:] != f[:-1]
-            starts = np.flatnonzero(change)
-            ends = np.empty(starts.shape[0], dtype=np.int64)
-            ends[:-1] = starts[1:]
-            ends[-1] = n
-            cached = (ends.tolist(), w[starts].tolist(), f[starts].tolist())
+            else:
+                starts, ends = _run_bounds(w, f)
+                cached = (ends.tolist(), w[starts].tolist(), f[starts].tolist())
             object.__setattr__(self, "_block_runs", cached)
         return cached
 
@@ -238,25 +299,26 @@ class LaunchGraph:
     def __len__(self) -> int:
         return len(self.launches)
 
-    def depth_of(self, index: int) -> int:
-        """Nesting depth of a launch (0 for host launches)."""
-        depth = 0
-        launch = self.launches[index]
-        while launch.parent != HOST:
-            depth += 1
-            launch = self.launches[launch.parent]
-        return depth
-
     def validate(self, config: DeviceConfig) -> None:
         """Check device limits: nesting depth and grid sizes."""
-        for i, launch in enumerate(self.launches):
-            if launch.costs.n_blocks > config.max_grid_dim_x:
+        max_grid = config.max_grid_dim_x
+        max_depth = config.max_launch_depth
+        # nesting depth per launch (0 for host launches), one step per
+        # launch: :meth:`add` keeps parents ahead of their children
+        depth: list[int] = []
+        for launch in self.launches:
+            if launch.costs.n_blocks > max_grid:
                 raise LaunchError(f"launch {launch.name!r} grid exceeds device limit")
-            if launch.is_device and self.depth_of(i) > config.max_launch_depth:
+            if launch.parent == HOST:
+                depth.append(0)
+                continue
+            d = depth[launch.parent] + 1
+            if d > max_depth:
                 raise LaunchError(
                     f"launch {launch.name!r} exceeds max nesting depth "
-                    f"{config.max_launch_depth}"
+                    f"{max_depth}"
                 )
+            depth.append(d)
 
     def aggregate_counters(self) -> ProfileCounters:
         """Merge all launches' counters (bulk launches weighted by count)."""

@@ -8,9 +8,12 @@ single hot iteration (one giant block-mapped/nested unit among trivial
 ones).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.apps.bfs import RecursiveBFSApp
 from repro.core import (
     AccessStream,
     NestedLoopWorkload,
@@ -23,10 +26,12 @@ from repro.errors import ConfigError
 from repro.gpusim import KEPLER_K20
 from repro.gpusim.executor import (
     ENGINES,
+    ExecutionResult,
     GpuExecutor,
     get_default_engine,
     set_default_engine,
 )
+from repro.graphs.generators import uniform_random_graph
 from repro.trees.generator import generate_tree
 
 NESTED_NAMES = sorted(n for n, (k, _) in ALL_TEMPLATES.items() if k == "nested-loop")
@@ -108,6 +113,31 @@ class TestEngineEquivalence:
         assert fast.n_launches == exact.n_launches
         assert fast.n_device_launches == exact.n_device_launches
         assert fast.time_ms == pytest.approx(exact.time_ms, rel=1e-6)
+
+    @pytest.mark.parametrize("streams", (1, 2))
+    @pytest.mark.parametrize("hierarchical", (False, True),
+                             ids=("rec-naive", "rec-hier"))
+    def test_recursive_bfs_graphs(self, hierarchical, streams):
+        """Fig. 9's launch graphs — one launch per visit, one-block naive
+        launches on device streams, multi-block hierarchical ones — give
+        bit-identical results on both engines, timelines included."""
+        app = RecursiveBFSApp(uniform_random_graph(400, (4, 12), seed=5))
+        graph = app._build_graph(
+            KEPLER_K20, TemplateParams(streams_per_block=streams),
+            hierarchical,
+        )
+        if hierarchical:
+            assert max(l.costs.n_blocks for l in graph.launches) > 1
+        else:
+            assert max(l.device_stream for l in graph.launches) == streams - 1
+        exact, fast = (
+            GpuExecutor(KEPLER_K20, engine=engine, record_timeline=True)
+            .run(graph)
+            for engine in ("exact", "fast")
+        )
+        assert exact.n_device_launches == len(graph.launches) - 1 > 100
+        for f in dataclasses.fields(ExecutionResult):
+            assert getattr(fast, f.name) == getattr(exact, f.name), f.name
 
 
 class TestEngineSelection:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import LaunchError
+from repro.errors import LaunchError, WorkloadError
 from repro.gpusim.config import FERMI_C2050, KEPLER_K20
 from repro.gpusim.executor import GpuExecutor
 from repro.gpusim.kernels import KernelCosts, Launch, LaunchGraph
@@ -189,6 +189,74 @@ class TestDynamicParallelism:
         graph.add(_launch(name="c", blocks=[10.0], parent=b))
         with pytest.raises(LaunchError, match="nesting depth"):
             GpuExecutor(shallow).run(graph)
+
+
+    def test_nesting_depth_boundary(self):
+        """Depth == max_launch_depth runs; one level deeper is rejected."""
+        shallow = KEPLER_K20.replace(max_launch_depth=2)
+        graph = LaunchGraph()
+        a = graph.add(_launch(name="a", blocks=[10.0]))
+        b = graph.add(_launch(name="b", blocks=[10.0], parent=a))
+        c = graph.add(_launch(name="c", blocks=[10.0], parent=b))
+        # a second host tree restarts the depth count at 0
+        d = graph.add(_launch(name="d", blocks=[10.0]))
+        graph.add(_launch(name="e", blocks=[10.0], parent=d))
+        assert GpuExecutor(shallow).run(graph).n_launches == 5
+        graph.add(_launch(name="f", blocks=[10.0], parent=c))
+        with pytest.raises(LaunchError, match="nesting depth 2"):
+            GpuExecutor(shallow).run(graph)
+
+
+class TestKernelCosts:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("where", ["cycles", "floor", "serial_tail"])
+    def test_rejects_non_finite_or_negative(self, where, bad):
+        """Bad values fail at construction: a NaN block would never
+        retire and an inf one would make the run's time inf."""
+        cycles = np.array([100.0, 100.0])
+        floor = np.array([10.0, 10.0])
+        tail = 0.0
+        if where == "cycles":
+            cycles[1] = bad
+        elif where == "floor":
+            floor[1] = bad
+        else:
+            tail = bad
+        with pytest.raises(WorkloadError, match="finite and non-negative"):
+            KernelCosts(block_cycles=cycles, block_floor=floor,
+                        serial_tail=tail)
+        if where != "serial_tail":
+            with pytest.raises(WorkloadError, match="finite and non-negative"):
+                KernelCosts.split(cycles, floor, [1, 2])
+
+    def test_split_equals_per_launch_costs(self):
+        # the (2.0, 1.0) run crosses the first launch boundary and the
+        # (3.0, 0.0) run the second: neither may span launches
+        cycles = np.array([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0])
+        floor = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        ends = [2, 4, 5, 7]
+        pieces = KernelCosts.split(cycles, floor, ends)
+        assert len(pieces) == len(ends)
+        start = 0
+        for got, end in zip(pieces, ends):
+            want = KernelCosts(block_cycles=cycles[start:end],
+                               block_floor=floor[start:end])
+            np.testing.assert_array_equal(got.block_cycles, want.block_cycles)
+            np.testing.assert_array_equal(got.block_floor, want.block_floor)
+            assert got.serial_tail == want.serial_tail
+            assert got.n_blocks == end - start
+            assert got.block_runs() == want.block_runs()
+            start = end
+        assert pieces[1].block_runs() == ([2], [2.0], [1.0])
+        assert pieces[2].block_runs() == ([1], [3.0], [0.0])
+
+    @pytest.mark.parametrize("ends", [[2, 2, 4], [0, 4], [1, 3], [], [4, 2, 4]],
+                             ids=["empty-middle", "empty-first", "short",
+                                  "none", "decreasing"])
+    def test_split_rejects_bad_pieces(self, ends):
+        with pytest.raises(WorkloadError):
+            KernelCosts.split(np.ones(4), np.zeros(4), ends)
 
 
 class TestLaunchGraphValidation:

@@ -22,6 +22,7 @@ from repro.core.plancache import clear_caches, default_cache
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.registry import ALL_TEMPLATES, resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
+from repro.errors import WorkloadError
 from repro.gpusim.config import KEPLER_K20, KEPLER_K40, DeviceConfig
 from repro.trees.generator import generate_tree
 
@@ -132,6 +133,15 @@ class TestFingerprintMemoization:
         assert workload.fingerprint() == stale  # memo hides the edit
         workload.invalidate_fingerprint()
         assert workload.fingerprint() != stale
+
+    def test_invalidate_fingerprint_rechecks_trips(self):
+        workload = NestedLoopWorkload("w", np.array([2, 3]))
+        workload.trip_counts[0] = -4
+        with pytest.raises(WorkloadError, match="cannot be negative"):
+            workload.invalidate_fingerprint()
+        # rejected before pair_offsets is rebuilt from the bad counts
+        assert workload.pair_offsets.tolist() == [0, 2, 5]
+        assert workload.n_pairs == 5
 
     def test_tree_invalidate_fingerprint(self):
         tree_wl = make_tree(seed=3)
